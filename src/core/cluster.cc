@@ -1,8 +1,10 @@
 #include "core/megsim.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "exec/pool.hh"
@@ -28,6 +30,50 @@ sqDist(const FeatureMatrix &m, std::size_t frame,
     return d2;
 }
 
+/** Distance between row @p i of table @p a and row @p j of @p b. */
+double
+rowDist(const std::vector<double> &a, std::size_t i,
+        const std::vector<double> &b, std::size_t j, std::size_t dims)
+{
+    double d2 = 0.0;
+    for (std::size_t c = 0; c < dims; ++c) {
+        const double diff = a[i * dims + c] - b[j * dims + c];
+        d2 += diff * diff;
+    }
+    return std::sqrt(d2);
+}
+
+/**
+ * A bound test skips a distance only when it wins by more than this
+ * share of the data diameter. A bound gathers one rounded addition
+ * per Lloyd pass, of distances no larger than the diameter, so even
+ * after 10^4 passes its error stays below 1e-11 of it; a squared
+ * distance over a few dozen dimensions rounds finer still. A skipped
+ * comparison is therefore one the exact scan decides the same way.
+ */
+constexpr double kBoundSlack = 1e-9;
+
+/** Frames per pool item: a skipped frame costs a compare, not a call. */
+constexpr std::size_t kFrameBlock = 256;
+
+/** Run @p fn(frame, worker) over every frame, kFrameBlock at a time. */
+template <typename Fn>
+void
+forEachFrame(exec::Pool &pool, std::size_t n, const Fn &fn)
+{
+    (void)pool.parallelFor(
+        (n + kFrameBlock - 1) / kFrameBlock,
+        [&](std::size_t block,
+            std::size_t w) -> resilience::Expected<void> {
+            const std::size_t end =
+                std::min(n, (block + 1) * kFrameBlock);
+            for (std::size_t f = block * kFrameBlock; f < end; ++f)
+                fn(f, w);
+            return {};
+        },
+        exec::Chunking::Static);
+}
+
 } // namespace
 
 KMeansResult
@@ -46,30 +92,39 @@ kmeans(const FeatureMatrix &features, std::size_t k,
     result.centroids.assign(k * dims, 0.0);
     if (n == 0)
         return result;
+    std::vector<double> &centroids = result.centroids;
+    std::vector<std::size_t> &labels = result.labels;
 
     // k-means++ seeding. The per-frame distance updates fan out (each
-    // frame owns its minD2 slot); the weighted draw below stays a
-    // serial sum in frame order so the result is bit-identical to a
-    // single-threaded run.
+    // frame owns its slots); the weighted draw below stays a serial
+    // sum in frame order so the result is bit-identical to a
+    // single-threaded run. A frame skips a new seed that is farther
+    // than twice its current minimum from the seed holding that
+    // minimum: by the triangle inequality the new distance cannot be
+    // smaller, so minD2 is exactly what a full update would leave.
     exec::Pool &pool = exec::Pool::global();
     sim::Rng rng(config.seed);
     std::vector<double> minD2(n, std::numeric_limits<double>::max());
+    std::vector<double> minD(n);
+    std::vector<std::size_t> nearest(n, 0);
     std::size_t first = rng.below(n);
     for (std::size_t c = 0; c < dims; ++c)
-        result.centroids[c] = features.at(first, c);
+        centroids[c] = features.at(first, c);
+    forEachFrame(pool, n, [&](std::size_t f, std::size_t) {
+        const double d2 = sqDist(features, f, centroids, 0, dims);
+        if (d2 < minD2[f])
+            minD2[f] = d2;
+        minD[f] = std::sqrt(minD2[f]);
+    });
+    // Every frame and centroid lies within radius max(minD) of the
+    // first seed, so the data diameter is at most twice that.
+    double radius = 0.0;
+    for (std::size_t f = 0; f < n; ++f)
+        radius = std::max(radius, minD[f]);
+    const double slack = kBoundSlack * 2.0 * radius;
+
+    std::vector<double> seedDist(k);
     for (std::size_t cl = 1; cl < k; ++cl) {
-        (void)pool.parallelFor(
-            n,
-            [&](std::size_t f,
-                std::size_t) -> resilience::Expected<void> {
-                const double d2 = sqDist(features, f,
-                                         result.centroids, cl - 1,
-                                         dims);
-                if (d2 < minD2[f])
-                    minD2[f] = d2;
-                return {};
-            },
-            exec::Chunking::Static);
         double total = 0.0;
         for (std::size_t f = 0; f < n; ++f)
             total += minD2[f];
@@ -87,67 +142,172 @@ kmeans(const FeatureMatrix &features, std::size_t k,
             pick = rng.below(n);
         }
         for (std::size_t c = 0; c < dims; ++c)
-            result.centroids[cl * dims + c] = features.at(pick, c);
+            centroids[cl * dims + c] = features.at(pick, c);
+        if (cl + 1 == k)
+            break; // the last seed is never drawn against
+
+        for (std::size_t s = 0; s < cl; ++s)
+            seedDist[s] = rowDist(centroids, cl, centroids, s, dims);
+        forEachFrame(pool, n, [&](std::size_t f, std::size_t) {
+            if (seedDist[nearest[f]] > 2.0 * minD[f] + slack)
+                return;
+            const double d2 = sqDist(features, f, centroids, cl, dims);
+            if (d2 < minD2[f]) {
+                minD2[f] = d2;
+                minD[f] = std::sqrt(d2);
+                nearest[f] = cl;
+            }
+        });
     }
 
-    // Lloyd iterations. The O(n*k*d) assignment step fans out —
-    // every frame writes only its own label, so labels are identical
+    // Lloyd iterations with Hamerly bounds. Each frame keeps an upper
+    // bound on the distance to its own centroid and a lower bound on
+    // the distance to every other one; each centroid keeps half the
+    // distance to its nearest neighbour. A frame whose upper bound
+    // stays below both (by the slack) keeps its label without a
+    // single distance. Otherwise it scans the centroids, skipping
+    // only those that provably lose, and takes the lowest-index
+    // argmin of the same sqDist values a plain Lloyd loop compares.
+    // Every frame writes only its own slots, so labels are identical
     // at any thread count. The centroid update stays serial: its
     // floating-point sums are order-sensitive, and keeping them in
     // frame order is what makes centroids bit-identical.
+    std::vector<double> upper(n);
+    std::vector<double> lower(n);
+    std::vector<double> half(k);
+    std::vector<double> gaps(k * k, 0.0); // centroid-centroid distances
+    std::vector<std::size_t> nearby(k * k); // row a: by gap from a
+    for (std::size_t a = 0; a < k; ++a)
+        std::iota(nearby.begin() + a * k, nearby.begin() + (a + 1) * k,
+                  std::size_t(0));
+    std::vector<double> drift(k, 0.0);
+    std::vector<double> previous;
+    std::size_t farthest = 0;  // centroid with the largest drift
+    double maxDrift = 0.0;     // its drift
+    double otherDrift = 0.0;   // largest drift among the others
     std::vector<unsigned char> workerChanged(pool.workers(), 0);
     for (std::size_t iter = 0; iter < config.maxIterations; ++iter) {
         bool changed = iter == 0;
         std::fill(workerChanged.begin(), workerChanged.end(), 0);
-        (void)pool.parallelFor(
-            n,
-            [&](std::size_t f,
-                std::size_t w) -> resilience::Expected<void> {
-                std::size_t best = 0;
-                double bestD2 = std::numeric_limits<double>::max();
-                for (std::size_t cl = 0; cl < k; ++cl) {
-                    const double d2 = sqDist(features, f,
-                                             result.centroids, cl,
-                                             dims);
-                    if (d2 < bestD2) {
-                        bestD2 = d2;
-                        best = cl;
-                    }
+        forEachFrame(pool, n, [&](std::size_t f, std::size_t w) {
+            const std::size_t own = labels[f];
+            if (iter > 0) {
+                upper[f] += drift[own];
+                lower[f] -= own == farthest ? otherDrift : maxDrift;
+                const double bound = std::max(half[own], lower[f]);
+                if (upper[f] + slack < bound)
+                    return;
+                upper[f] =
+                    std::sqrt(sqDist(features, f, centroids, own, dims));
+                if (upper[f] + slack < bound)
+                    return;
+            }
+            // Elkan's test trims the scan: a centroid farther than
+            // twice upper[f] (now exact) from the own one cannot win,
+            // and that gap minus upper[f] still bounds it from below.
+            // Candidates are visited nearest-to-own first, so the
+            // first one out of reach ends the scan; the tie rule
+            // below still yields the lowest-index argmin.
+            const std::size_t *order = &nearby[own * k];
+            const double *gap = &gaps[own * k];
+            const double reach = iter > 0
+                                     ? 2.0 * upper[f] + slack
+                                     : std::numeric_limits<double>::max();
+            std::size_t best = 0;
+            double bestD2 = std::numeric_limits<double>::max();
+            double secondD2 = std::numeric_limits<double>::max();
+            double skipped = std::numeric_limits<double>::max();
+            for (std::size_t i = 0; i < k; ++i) {
+                const std::size_t cl = order[i];
+                if (gap[cl] > reach) {
+                    skipped = gap[cl] - upper[f];
+                    break;
                 }
-                if (result.labels[f] != best) {
-                    result.labels[f] = best;
-                    workerChanged[w] = 1;
+                const double d2 =
+                    sqDist(features, f, centroids, cl, dims);
+                if (d2 < bestD2 || (d2 == bestD2 && cl < best)) {
+                    secondD2 = bestD2;
+                    bestD2 = d2;
+                    best = cl;
+                } else if (d2 < secondD2) {
+                    secondD2 = d2;
                 }
-                return {};
-            },
-            exec::Chunking::Static);
+            }
+            upper[f] = std::sqrt(bestD2);
+            lower[f] = std::min(std::sqrt(secondD2), skipped);
+            if (own != best) {
+                labels[f] = best;
+                workerChanged[w] = 1;
+            }
+        });
         for (unsigned char c : workerChanged)
             changed = changed || c != 0;
         if (!changed)
             break;
 
-        std::fill(result.centroids.begin(), result.centroids.end(),
-                  0.0);
+        previous = centroids;
+        std::fill(centroids.begin(), centroids.end(), 0.0);
         std::fill(result.sizes.begin(), result.sizes.end(), 0);
         for (std::size_t f = 0; f < n; ++f) {
-            const std::size_t cl = result.labels[f];
+            const std::size_t cl = labels[f];
             ++result.sizes[cl];
             for (std::size_t c = 0; c < dims; ++c)
-                result.centroids[cl * dims + c] += features.at(f, c);
+                centroids[cl * dims + c] += features.at(f, c);
         }
         for (std::size_t cl = 0; cl < k; ++cl) {
             if (result.sizes[cl] == 0) {
                 // Re-seed an emptied cluster on a random frame.
                 const std::size_t f = rng.below(n);
                 for (std::size_t c = 0; c < dims; ++c)
-                    result.centroids[cl * dims + c] =
-                        features.at(f, c);
+                    centroids[cl * dims + c] = features.at(f, c);
                 continue;
             }
             const double inv =
                 1.0 / static_cast<double>(result.sizes[cl]);
             for (std::size_t c = 0; c < dims; ++c)
-                result.centroids[cl * dims + c] *= inv;
+                centroids[cl * dims + c] *= inv;
+        }
+
+        // How far each centroid moved loosens the bounds; half the
+        // gap to the nearest other centroid is the free-pass radius.
+        maxDrift = 0.0;
+        otherDrift = 0.0;
+        farthest = 0;
+        for (std::size_t cl = 0; cl < k; ++cl) {
+            drift[cl] = rowDist(previous, cl, centroids, cl, dims);
+            if (drift[cl] > maxDrift) {
+                otherDrift = maxDrift;
+                maxDrift = drift[cl];
+                farthest = cl;
+            } else if (drift[cl] > otherDrift) {
+                otherDrift = drift[cl];
+            }
+        }
+        std::fill(half.begin(), half.end(),
+                  std::numeric_limits<double>::max());
+        for (std::size_t a = 0; a < k; ++a) {
+            for (std::size_t b = a + 1; b < k; ++b) {
+                const double gap =
+                    rowDist(centroids, a, centroids, b, dims);
+                gaps[a * k + b] = gap;
+                gaps[b * k + a] = gap;
+                half[a] = std::min(half[a], 0.5 * gap);
+                half[b] = std::min(half[b], 0.5 * gap);
+            }
+        }
+        // Re-sort each row by gap. Centroids move little between
+        // passes, so the rows are nearly sorted already and an
+        // insertion sort costs about one compare per entry.
+        for (std::size_t a = 0; a < k; ++a) {
+            const double *gap = &gaps[a * k];
+            std::size_t *row = &nearby[a * k];
+            for (std::size_t i = 1; i < k; ++i) {
+                const std::size_t cl = row[i];
+                std::size_t j = i;
+                for (; j > 0 && gap[cl] < gap[row[j - 1]]; --j)
+                    row[j] = row[j - 1];
+                row[j] = cl;
+            }
         }
     }
 
@@ -155,10 +315,9 @@ kmeans(const FeatureMatrix &features, std::size_t k,
     std::fill(result.sizes.begin(), result.sizes.end(), 0);
     result.inertia = 0.0;
     for (std::size_t f = 0; f < n; ++f) {
-        ++result.sizes[result.labels[f]];
+        ++result.sizes[labels[f]];
         result.inertia +=
-            sqDist(features, f, result.centroids, result.labels[f],
-                   dims);
+            sqDist(features, f, centroids, labels[f], dims);
     }
     return result;
 }
@@ -203,62 +362,61 @@ selectClustering(const FeatureMatrix &features,
         std::max<std::size_t>(1, config.maxClusters),
         std::max<std::size_t>(1, features.rows()));
 
-    // Independent k values fan out in waves of one pool width; the
-    // serial walk below replays the exact patience rule over each
-    // wave, so the trace and the chosen k are bit-identical to a
-    // serial sweep (wave work past the stopping point is discarded).
-    // Each per-k job runs its own kmeans calls inline — nested pool
-    // use degrades to serial — so the fan-out is over k only.
+    // One ordered job over every (k, restart) pair in ascending k:
+    // item i runs restart i % restarts of k = i / restarts + 1.
+    // Workers only produce BICs. The commit, on this thread in item
+    // order, replays best-of-restarts (which guards the BIC curve
+    // against one unlucky k-means++ draw ending the search) and the
+    // patience rule exactly as a serial sweep would, so the trace and
+    // the chosen k are bit-identical at any thread count. Once
+    // patience fires, the items still queued return without running.
+    // Each item runs its kmeans inline (nested pool use is serial).
     exec::Pool &pool = exec::Pool::global();
-    const std::size_t wave = pool.workers();
+    const std::size_t restarts =
+        std::max<std::size_t>(1, config.restarts);
+    auto kmeansConfig = [&](std::size_t k, std::size_t restart) {
+        KMeansConfig kc = config.kmeans;
+        kc.seed = sim::hashMix(config.kmeans.seed, k, restart);
+        return kc;
+    };
+    std::atomic<bool> stopped{false};
+    std::vector<std::size_t> bestRestart; // per trace entry
+    double stepBic = 0.0;
+    std::size_t stepRestart = 0;
     double bestBic = -std::numeric_limits<double>::max();
     std::size_t decreases = 0;
-    bool stopped = false;
-    for (std::size_t base = 1; base <= maxK && !stopped;
-         base += wave) {
-        const std::size_t count = std::min(wave, maxK - base + 1);
-        std::vector<SelectionStep> steps(count);
-        (void)pool.parallelFor(
-            count,
-            [&](std::size_t i,
-                std::size_t) -> resilience::Expected<void> {
-                const std::size_t k = base + i;
-                // Best-of-restarts guards the BIC curve against one
-                // unlucky k-means++ draw ending the search
-                // prematurely.
-                SelectionStep step;
-                step.bic = -std::numeric_limits<double>::max();
-                const std::size_t restarts =
-                    std::max<std::size_t>(1, config.restarts);
-                for (std::size_t r = 0; r < restarts; ++r) {
-                    KMeansConfig kc = config.kmeans;
-                    kc.seed = sim::hashMix(config.kmeans.seed, k, r);
-                    KMeansResult attempt = kmeans(features, k, kc);
-                    const double bic = bicScore(features, attempt);
-                    if (bic > step.bic) {
-                        step.bic = bic;
-                        step.result = std::move(attempt);
-                    }
-                }
-                steps[i] = std::move(step);
-                return {};
-            },
-            exec::Chunking::Dynamic, 1);
-
-        for (SelectionStep &step : steps) {
-            sel.trace.push_back(std::move(step));
-            if (sel.trace.back().bic > bestBic) {
-                bestBic = sel.trace.back().bic;
-                decreases = 0;
-            } else {
-                ++decreases;
-                if (decreases > config.patience) {
-                    stopped = true;
-                    break;
-                }
+    (void)pool.parallelMapOrdered<double>(
+        maxK * restarts,
+        [&](std::size_t i,
+            std::size_t) -> resilience::Expected<double> {
+            if (stopped.load())
+                return 0.0;
+            const std::size_t k = i / restarts + 1;
+            return bicScore(
+                features,
+                kmeans(features, k, kmeansConfig(k, i % restarts)));
+        },
+        [&](std::size_t i, double &&bic) {
+            if (stopped.load())
+                return;
+            const std::size_t restart = i % restarts;
+            if (restart == 0)
+                stepBic = -std::numeric_limits<double>::max();
+            if (bic > stepBic) {
+                stepBic = bic;
+                stepRestart = restart;
             }
-        }
-    }
+            if (restart + 1 < restarts)
+                return;
+            sel.trace.push_back(SelectionStep{stepBic});
+            bestRestart.push_back(stepRestart);
+            if (stepBic > bestBic) {
+                bestBic = stepBic;
+                decreases = 0;
+            } else if (++decreases > config.patience) {
+                stopped.store(true);
+            }
+        });
 
     // The spread threshold T picks the smallest k whose BIC clears
     // min + T * (max - min) of the explored range (Sec. III-F).
@@ -276,6 +434,12 @@ selectClustering(const FeatureMatrix &features,
             break;
         }
     }
+
+    // Only the chosen clustering is kept; kmeans is deterministic, so
+    // re-running its best restart reproduces it exactly.
+    const std::size_t k = sel.chosenIndex + 1;
+    sel.clustering = kmeans(
+        features, k, kmeansConfig(k, bestRestart[sel.chosenIndex]));
     return sel;
 }
 

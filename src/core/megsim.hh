@@ -147,7 +147,12 @@ struct KMeansResult
     double inertia = 0.0; // sum of squared distances to centroids
 };
 
-/** Lloyd's k-means with k-means++ seeding. */
+/**
+ * Lloyd's k-means with k-means++ seeding. The assignment step keeps
+ * Hamerly bounds and skips only the frames whose label provably
+ * cannot change, so labels, centroids and inertia are bit-identical
+ * to a plain Lloyd loop (lowest-index argmin) at any thread count.
+ */
 KMeansResult kmeans(const FeatureMatrix &features, std::size_t k,
                     const KMeansConfig &config = KMeansConfig{});
 
@@ -171,22 +176,20 @@ struct SelectorConfig
     KMeansConfig kmeans;
 };
 
+/** One explored k: the best BIC over its restarts. */
 struct SelectionStep
 {
     double bic = 0.0;
-    KMeansResult result;
 };
 
 struct SelectionResult
 {
     std::vector<SelectionStep> trace; // index i holds k = i + 1
     std::size_t chosenIndex = 0;
+    /** The best restart at k = chosenIndex + 1, the only one kept. */
+    KMeansResult clustering;
 
-    const KMeansResult &
-    chosen() const
-    {
-        return trace[chosenIndex].result;
-    }
+    const KMeansResult &chosen() const { return clustering; }
 
     double chosenBic() const { return trace[chosenIndex].bic; }
 };
@@ -336,6 +339,7 @@ struct SuiteRepresentative
 /** Cross-benchmark clustering plus the per-bench fold-back weights. */
 struct SuiteClustering
 {
+    /** The BIC sweep; left empty by suiteFromClustering. */
     SelectionResult selection;
     /** One entry per non-empty cluster, in cluster order. */
     std::vector<SuiteRepresentative> representatives;

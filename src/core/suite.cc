@@ -60,9 +60,6 @@ suiteFromClustering(const PooledFeatures &pooled,
                    clustering.labels.size(), pooled.features.rows());
 
     SuiteClustering suite;
-    suite.selection.trace.push_back(SelectionStep{0.0, clustering});
-    suite.selection.chosenIndex = 0;
-
     const RepresentativeSet reps =
         representativeSet(clustered, clustering);
 

@@ -49,8 +49,16 @@ setHostAttribEnabled(bool on)
     gAttribEnabled = on;
 }
 
+void
+setAttribClock(AttribClock clock)
+{
+    detail::attribClock = clock ? clock : &wallSeconds;
+}
+
 namespace detail
 {
+
+AttribClock attribClock = &wallSeconds;
 
 AttribBuckets &
 tlsBuckets()
@@ -70,7 +78,7 @@ AttribRoot::AttribRoot()
         return;
     b.open = true;
     b.current = HostDomain::Other;
-    b.stamp = wallSeconds();
+    b.stamp = detail::attribClock();
     active_ = true;
 }
 
@@ -80,7 +88,7 @@ AttribRoot::~AttribRoot()
         return;
     detail::AttribBuckets &b = detail::tlsBuckets();
     b.seconds[static_cast<std::size_t>(b.current)] +=
-        wallSeconds() - b.stamp;
+        detail::attribClock() - b.stamp;
     b.open = false;
     flushHostAttrib();
 }

@@ -60,15 +60,27 @@ const char *hostDomainName(HostDomain d);
 bool hostAttribEnabled();
 void setHostAttribEnabled(bool on);
 
+/** A clock in seconds; attribution reads wallSeconds() by default. */
+using AttribClock = double (*)();
+
+/**
+ * Replace the attribution clock (nullptr restores wallSeconds) so a
+ * test can check the accounting arithmetic exactly. Like the enable
+ * flag, set it only during single-threaded setup.
+ */
+void setAttribClock(AttribClock clock);
+
 namespace detail
 {
+
+extern AttribClock attribClock;
 
 struct AttribBuckets
 {
     double seconds[kHostDomainCount] = {};
     std::uint64_t entries[kHostDomainCount] = {};
     HostDomain current = HostDomain::Other;
-    double stamp = 0.0; // wallSeconds() when `current` last started
+    double stamp = 0.0; // attribClock() when `current` last started
     bool open = false;  // inside an AttribRoot window
 };
 
@@ -110,7 +122,7 @@ class AttribScope
         detail::AttribBuckets &b = detail::tlsBuckets();
         if (!b.open)
             return;
-        const double now = wallSeconds();
+        const double now = detail::attribClock();
         const std::size_t prev =
             static_cast<std::size_t>(b.current);
         b.seconds[prev] += now - b.stamp;
@@ -125,7 +137,7 @@ class AttribScope
         if (!armed_)
             return;
         detail::AttribBuckets &b = detail::tlsBuckets();
-        const double now = wallSeconds();
+        const double now = detail::attribClock();
         b.seconds[static_cast<std::size_t>(b.current)] +=
             now - b.stamp;
         b.current = previous_;

@@ -2,9 +2,13 @@
 
 #include <cstdio>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <limits>
+#include <string>
 
 #include "core/megsim.hh"
+#include "exec/pool.hh"
 #include "sim/random.hh"
 #include "workloads/workloads.hh"
 
@@ -30,6 +34,200 @@ separableMatrix(std::size_t k, std::size_t perCluster, std::size_t dims)
                 m.at(c * perCluster + i, d) =
                     static_cast<double>(c) * 100.0 +
                     rng.uniform() * 2.0 - 1.0;
+    return m;
+}
+
+/** Which paths a referenceKmeans call went down. */
+struct ReferencePaths
+{
+    std::size_t iterations = 0; // assignment passes
+    std::size_t reseeds = 0;    // emptied clusters re-seeded
+    bool converged = false;     // stopped before maxIterations
+};
+
+double
+referenceSqDist(const FeatureMatrix &m, std::size_t frame,
+                const std::vector<double> &centroids,
+                std::size_t cluster, std::size_t dims)
+{
+    double d2 = 0.0;
+    for (std::size_t c = 0; c < dims; ++c) {
+        const double diff =
+            m.at(frame, c) - centroids[cluster * dims + c];
+        d2 += diff * diff;
+    }
+    return d2;
+}
+
+/**
+ * Plain serial Lloyd's k-means with k-means++ seeding: every frame
+ * scans every centroid on every pass. kmeans() must match it bit for
+ * bit; it skips only work this loop provably does not need.
+ */
+KMeansResult
+referenceKmeans(const FeatureMatrix &m, std::size_t k,
+                const KMeansConfig &config, ReferencePaths *paths)
+{
+    const std::size_t n = m.rows();
+    const std::size_t dims = m.cols();
+    k = std::max<std::size_t>(1, std::min(k, n));
+
+    KMeansResult result;
+    result.k = k;
+    result.dims = dims;
+    result.labels.assign(n, 0);
+    result.sizes.assign(k, 0);
+    result.centroids.assign(k * dims, 0.0);
+    if (n == 0)
+        return result;
+
+    sim::Rng rng(config.seed);
+    std::vector<double> minD2(n, std::numeric_limits<double>::max());
+    const std::size_t first = rng.below(n);
+    for (std::size_t c = 0; c < dims; ++c)
+        result.centroids[c] = m.at(first, c);
+    for (std::size_t cl = 1; cl < k; ++cl) {
+        for (std::size_t f = 0; f < n; ++f) {
+            const double d2 =
+                referenceSqDist(m, f, result.centroids, cl - 1, dims);
+            if (d2 < minD2[f])
+                minD2[f] = d2;
+        }
+        double total = 0.0;
+        for (std::size_t f = 0; f < n; ++f)
+            total += minD2[f];
+        std::size_t pick = 0;
+        if (total > 0.0) {
+            double target = rng.uniform() * total;
+            for (std::size_t f = 0; f < n; ++f) {
+                target -= minD2[f];
+                if (target <= 0.0) {
+                    pick = f;
+                    break;
+                }
+            }
+        } else {
+            pick = rng.below(n);
+        }
+        for (std::size_t c = 0; c < dims; ++c)
+            result.centroids[cl * dims + c] = m.at(pick, c);
+    }
+
+    for (std::size_t iter = 0; iter < config.maxIterations; ++iter) {
+        ++paths->iterations;
+        bool changed = iter == 0;
+        for (std::size_t f = 0; f < n; ++f) {
+            std::size_t best = 0;
+            double bestD2 = std::numeric_limits<double>::max();
+            for (std::size_t cl = 0; cl < k; ++cl) {
+                const double d2 =
+                    referenceSqDist(m, f, result.centroids, cl, dims);
+                if (d2 < bestD2) {
+                    bestD2 = d2;
+                    best = cl;
+                }
+            }
+            if (result.labels[f] != best) {
+                result.labels[f] = best;
+                changed = true;
+            }
+        }
+        if (!changed) {
+            paths->converged = true;
+            break;
+        }
+
+        std::fill(result.centroids.begin(), result.centroids.end(),
+                  0.0);
+        std::fill(result.sizes.begin(), result.sizes.end(), 0);
+        for (std::size_t f = 0; f < n; ++f) {
+            const std::size_t cl = result.labels[f];
+            ++result.sizes[cl];
+            for (std::size_t c = 0; c < dims; ++c)
+                result.centroids[cl * dims + c] += m.at(f, c);
+        }
+        for (std::size_t cl = 0; cl < k; ++cl) {
+            if (result.sizes[cl] == 0) {
+                ++paths->reseeds;
+                const std::size_t f = rng.below(n);
+                for (std::size_t c = 0; c < dims; ++c)
+                    result.centroids[cl * dims + c] = m.at(f, c);
+                continue;
+            }
+            const double inv =
+                1.0 / static_cast<double>(result.sizes[cl]);
+            for (std::size_t c = 0; c < dims; ++c)
+                result.centroids[cl * dims + c] *= inv;
+        }
+    }
+
+    std::fill(result.sizes.begin(), result.sizes.end(), 0);
+    result.inertia = 0.0;
+    for (std::size_t f = 0; f < n; ++f) {
+        ++result.sizes[result.labels[f]];
+        result.inertia += referenceSqDist(m, f, result.centroids,
+                                          result.labels[f], dims);
+    }
+    return result;
+}
+
+/** Run kmeans() and the reference; return the reference's paths. */
+ReferencePaths
+expectMatchesReference(const FeatureMatrix &m, std::size_t k,
+                       const KMeansConfig &config)
+{
+    ReferencePaths paths;
+    const KMeansResult want = referenceKmeans(m, k, config, &paths);
+    const KMeansResult got = kmeans(m, k, config);
+    const std::string what = "k=" + std::to_string(k) +
+                             " seed=" + std::to_string(config.seed);
+    EXPECT_EQ(got.k, want.k) << what;
+    EXPECT_EQ(got.dims, want.dims) << what;
+    EXPECT_EQ(got.labels, want.labels) << what;
+    EXPECT_EQ(got.sizes, want.sizes) << what;
+    EXPECT_EQ(got.centroids.size(), want.centroids.size()) << what;
+    if (got.centroids.size() == want.centroids.size()) {
+        EXPECT_EQ(std::memcmp(got.centroids.data(),
+                              want.centroids.data(),
+                              got.centroids.size() * sizeof(double)),
+                  0)
+            << what << ": centroids differ in some bit";
+    }
+    EXPECT_EQ(std::memcmp(&got.inertia, &want.inertia, sizeof(double)),
+              0)
+        << what << ": inertia " << got.inertia << " vs "
+        << want.inertia;
+    return paths;
+}
+
+/** @p rows x @p dims, every value drawn from @p levels integers. */
+FeatureMatrix
+latticeMatrix(std::size_t rows, std::size_t dims, std::size_t levels,
+              std::uint64_t seed)
+{
+    FeatureMatrix m(rows, dims - 1, 0);
+    sim::Rng rng(seed);
+    for (std::size_t f = 0; f < rows; ++f)
+        for (std::size_t d = 0; d < dims; ++d)
+            m.at(f, d) = static_cast<double>(rng.below(levels));
+    return m;
+}
+
+/** Overlapping blobs, like projected features: the bounds' hard case. */
+FeatureMatrix
+blobMatrix(std::size_t rows, std::size_t dims, std::size_t blobs,
+           std::uint64_t seed)
+{
+    FeatureMatrix m(rows, dims - 1, 0);
+    sim::Rng rng(seed);
+    std::vector<double> centers(blobs * dims);
+    for (double &c : centers)
+        c = rng.uniform() * 4.0;
+    for (std::size_t f = 0; f < rows; ++f) {
+        const std::size_t b = rng.below(blobs);
+        for (std::size_t d = 0; d < dims; ++d)
+            m.at(f, d) = centers[b * dims + d] + rng.uniform() - 0.5;
+    }
     return m;
 }
 
@@ -157,6 +355,159 @@ TEST(Cluster, RepresentativeWeightsCoverEveryFrame)
         totalWeight += reps.weights[i];
     }
     EXPECT_DOUBLE_EQ(totalWeight, static_cast<double>(m.rows()));
+}
+
+/** kmeans() against referenceKmeans() at 1 and 4 pool threads. */
+class KMeansExactness : public ::testing::TestWithParam<std::size_t>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        saved_ = exec::Pool::configuredThreads();
+        exec::Pool::setConfiguredThreads(GetParam());
+    }
+
+    void
+    TearDown() override
+    {
+        exec::Pool::setConfiguredThreads(saved_);
+    }
+
+  private:
+    std::size_t saved_ = 1;
+};
+
+TEST_P(KMeansExactness, SeparableClusters)
+{
+    const FeatureMatrix m = separableMatrix(4, 16, 12);
+    for (std::size_t k : {2, 4, 7})
+        for (std::uint64_t seed : {1, 2, 3})
+            expectMatchesReference(m, k, KMeansConfig{64, seed});
+}
+
+TEST_P(KMeansExactness, OverlappingBlobsUpToSweepScale)
+{
+    // The shape the BIC sweep runs on: 24 projected dimensions, many
+    // overlapping clusters, k up to the sweep's cap, long runs.
+    const FeatureMatrix m = blobMatrix(600, 24, 12, 7);
+    for (std::size_t k : {2, 9, 16, 33, 64})
+        for (std::uint64_t seed : {11, 12})
+            expectMatchesReference(m, k, KMeansConfig{64, seed});
+}
+
+TEST_P(KMeansExactness, DuplicatedRowsAndExactTies)
+{
+    // Few distinct integer rows, many duplicates: frames sit exactly
+    // halfway between centroids, and the lowest-index centroid must
+    // win every tie just as in the plain loop.
+    const FeatureMatrix lattice = latticeMatrix(240, 3, 3, 5);
+    for (std::size_t k : {2, 3, 5, 8, 12})
+        for (std::uint64_t seed : {1, 2, 3, 4})
+            expectMatchesReference(lattice, k, KMeansConfig{64, seed});
+
+    // 1-D lattices where, mid-run, a frame owned by a higher-index
+    // centroid lands exactly halfway to a lower-index one: a bound
+    // test that let a tie pass would keep the stale label.
+    for (std::size_t levels : {5, 7})
+        for (std::size_t rows : {30, 60})
+            for (std::uint64_t data : {2, 3})
+                for (std::uint64_t seed = 1; seed <= 6; ++seed)
+                    expectMatchesReference(
+                        latticeMatrix(rows, 1, levels, data), 3,
+                        KMeansConfig{64, seed});
+
+    // Two clusters and a midpoint row equidistant from both means.
+    FeatureMatrix line(7, 0, 0);
+    const double xs[7] = {0.0, 0.0, 0.0, 2.0, 4.0, 4.0, 4.0};
+    for (std::size_t f = 0; f < 7; ++f)
+        line.at(f, 0) = xs[f];
+    for (std::uint64_t seed = 1; seed <= 8; ++seed)
+        expectMatchesReference(line, 2, KMeansConfig{64, seed});
+}
+
+TEST_P(KMeansExactness, SingleClusterAndMoreClustersThanFrames)
+{
+    const FeatureMatrix m = blobMatrix(5, 4, 2, 3);
+    for (std::size_t k : {1, 5, 9}) {
+        expectMatchesReference(m, k, KMeansConfig{64, 1});
+        EXPECT_EQ(kmeans(m, k, KMeansConfig{64, 1}).k,
+                  std::min<std::size_t>(k, 5));
+    }
+    expectMatchesReference(blobMatrix(300, 24, 6, 4), 1,
+                           KMeansConfig{64, 2});
+}
+
+TEST_P(KMeansExactness, EmptiedClusterIsReseeded)
+{
+    // Two distinct rows and k = 4: seeding runs out of distinct
+    // frames, duplicate centroids lose every tie, their clusters come
+    // up empty and are re-seeded from the RNG.
+    FeatureMatrix m(20, 1, 0);
+    for (std::size_t f = 10; f < 20; ++f) {
+        m.at(f, 0) = 1.0;
+        m.at(f, 1) = 1.0;
+    }
+    std::size_t reseeds = 0;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed)
+        reseeds +=
+            expectMatchesReference(m, 4, KMeansConfig{64, seed}).reseeds;
+    EXPECT_GT(reseeds, 0u) << "the reseed path never ran";
+}
+
+TEST_P(KMeansExactness, IterationCapStopsBothLoopsAlike)
+{
+    // One uniform blob: no natural clusters, so Lloyd creeps.
+    const FeatureMatrix m = blobMatrix(400, 4, 1, 9);
+    const ReferencePaths free =
+        expectMatchesReference(m, 10, KMeansConfig{64, 5});
+    ASSERT_GT(free.iterations, 3u) << "input converges too fast";
+    const ReferencePaths capped =
+        expectMatchesReference(m, 10, KMeansConfig{2, 5});
+    EXPECT_EQ(capped.iterations, 2u);
+    EXPECT_FALSE(capped.converged) << "the cap never bit";
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, KMeansExactness,
+                         ::testing::Values(std::size_t(1),
+                                           std::size_t(4)));
+
+TEST(Cluster, OrderedSweepStopsAtTheSameKAtAnyThreadCount)
+{
+    // Five separable clusters: the BIC peaks near k = 5 and patience
+    // ends the sweep long before maxClusters. The ordered (k, restart)
+    // job must commit exactly the trace a serial sweep would, however
+    // many items the workers had in flight when patience fired.
+    const FeatureMatrix m = separableMatrix(5, 24, 10);
+    SelectorConfig config;
+    config.maxClusters = 64;
+    const std::size_t saved = exec::Pool::configuredThreads();
+
+    exec::Pool::setConfiguredThreads(1);
+    const SelectionResult serial = selectClustering(m, config);
+    constexpr std::size_t kExpectedTrace = 9;
+    ASSERT_EQ(serial.trace.size(), kExpectedTrace);
+    EXPECT_EQ(serial.chosen().k, 5u);
+    EXPECT_EQ(serial.chosen().k, serial.chosenIndex + 1);
+
+    for (std::size_t threads : {2, 4, 8}) {
+        exec::Pool::setConfiguredThreads(threads);
+        const SelectionResult parallel = selectClustering(m, config);
+        ASSERT_EQ(parallel.trace.size(), kExpectedTrace)
+            << threads << " threads";
+        for (std::size_t i = 0; i < kExpectedTrace; ++i)
+            EXPECT_EQ(std::memcmp(&parallel.trace[i].bic,
+                                  &serial.trace[i].bic, sizeof(double)),
+                      0)
+                << threads << " threads, k=" << i + 1;
+        EXPECT_EQ(parallel.chosenIndex, serial.chosenIndex)
+            << threads << " threads";
+        EXPECT_EQ(parallel.chosen().labels, serial.chosen().labels)
+            << threads << " threads";
+        EXPECT_EQ(parallel.chosen().centroids, serial.chosen().centroids)
+            << threads << " threads";
+    }
+    exec::Pool::setConfiguredThreads(saved);
 }
 
 TEST(Similarity, MatrixIsSymmetricWithZeroDiagonal)

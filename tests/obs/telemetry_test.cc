@@ -44,12 +44,22 @@ class TelemetryTest : public ::testing::Test
     {
         setTimelineEnabled(timelineWas_);
         setHostAttribEnabled(attribWas_);
+        setAttribClock(nullptr);
     }
 
   private:
     bool timelineWas_ = false;
     bool attribWas_ = false;
 };
+
+/** A test clock for attribution: tests step it by hand. */
+double gTestNow = 0.0;
+
+double
+testClock()
+{
+    return gTestNow;
+}
 
 /** Burn a little wall time so attributed seconds are non-zero. */
 double
@@ -175,32 +185,38 @@ TEST_F(TelemetryTest, AttribDisabledLeavesRegistryUntouched)
 
 TEST_F(TelemetryTest, AttribExclusiveAccountingAndFlush)
 {
+    // The test clock makes the accounting exact: every step below is
+    // a binary fraction, so each domain's seconds are exact sums.
     setHostAttribEnabled(true);
+    setAttribClock(&testClock);
+    gTestNow = 100.0;
     StatsRegistry sandbox;
     {
         ProcessRegistryOverride redirect(sandbox);
         AttribRoot root;
+        gTestNow += 0.25; // other
         {
             AttribScope raster(HostDomain::Raster);
-            spin(0.002);
+            gTestNow += 2.0;
             {
                 // Nested scope: its time must NOT also count as
                 // raster (exclusive accounting).
                 AttribScope mem(HostDomain::MemWalk);
-                spin(0.002);
+                gTestNow += 1.0;
             }
-            spin(0.002);
+            gTestNow += 2.0;
         }
+        gTestNow += 0.5; // other again
     }
+    const Stat *other = sandbox.find("obs.host.other.seconds");
     const Stat *raster = sandbox.find("obs.host.raster.seconds");
     const Stat *mem = sandbox.find("obs.host.memwalk.seconds");
+    ASSERT_NE(other, nullptr);
     ASSERT_NE(raster, nullptr);
     ASSERT_NE(mem, nullptr);
-    EXPECT_GT(raster->value(), 0.0);
-    EXPECT_GT(mem->value(), 0.0);
-    // Raster ran ~4 ms, memwalk ~2 ms; exclusive accounting keeps
-    // raster well under the 6 ms total.
-    EXPECT_LT(raster->value(), 0.006);
+    EXPECT_EQ(other->value(), 0.75);
+    EXPECT_EQ(raster->value(), 4.0);
+    EXPECT_EQ(mem->value(), 1.0);
     EXPECT_DOUBLE_EQ(
         sandbox.find("obs.host.raster.entries")->value(), 1.0);
     EXPECT_DOUBLE_EQ(
@@ -210,21 +226,22 @@ TEST_F(TelemetryTest, AttribExclusiveAccountingAndFlush)
 TEST_F(TelemetryTest, AttribSnapshotComputesNamedCoverage)
 {
     setHostAttribEnabled(true);
+    setAttribClock(&testClock);
+    gTestNow = 10.0;
     StatsRegistry sandbox;
     ProcessRegistryOverride redirect(sandbox);
     {
         AttribRoot root;
+        gTestNow += 1.0; // other
         AttribScope shade(HostDomain::Shade);
-        spin(0.004);
+        gTestNow += 3.0;
     }
     const HostAttribSnapshot snap = readHostAttrib();
-    EXPECT_GT(snap.totalSeconds(), 0.0);
-    // Nearly the whole window is inside the shade scope.
-    EXPECT_GT(snap.coverage(), 0.5);
-    EXPECT_LE(snap.coverage(), 1.0);
-    EXPECT_GT(snap.seconds[static_cast<std::size_t>(
+    EXPECT_EQ(snap.totalSeconds(), 4.0);
+    EXPECT_EQ(snap.coverage(), 0.75);
+    EXPECT_EQ(snap.seconds[static_cast<std::size_t>(
                   HostDomain::Shade)],
-              0.0);
+              3.0);
 }
 
 TEST_F(TelemetryTest, NestedAttribRootIsANoOp)
