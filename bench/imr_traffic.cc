@@ -43,13 +43,14 @@ main()
         gpusim::TimingSimulator timing(config, binding);
         gpusim::ImrMemoryModel imr(config, binding.framebufferBase());
 
+        gpusim::GeometryIR ir;
         double imr_bytes = 0.0, tbr_bytes = 0.0;
         double shaded = 0.0;
         const double pixels =
             static_cast<double>(config.screenWidth) *
             config.screenHeight;
         for (std::size_t f = window_begin; f < window_end; ++f) {
-            const auto ir = geometry.process(scene.frames[f]);
+            geometry.processInto(scene.frames[f], ir);
             const auto traffic = imr.frameTraffic(ir);
             imr_bytes += static_cast<double>(traffic.dramBytes);
             shaded += static_cast<double>(traffic.fragmentsShaded);

@@ -48,12 +48,11 @@ class FunctionalSimulator
     std::vector<std::uint32_t> shaderColumn_; // global id -> column
     std::size_t numVs_ = 0;
     std::size_t numFs_ = 0;
-    // Full-screen z buffer, cleared per frame by advancing the epoch:
-    // a pixel whose stamp is stale reads as the clear value 1.0f, so
-    // no per-frame fill of the whole screen is needed.
+    // Full-screen z buffer in 2x2 quad-major order: quad (x, y)
+    // holds its four samples in lane order at
+    // ((y / 2) * ceil(width / 2) + x / 2) * 4, so a quad's depth test
+    // is one 4-lane load. Cleared to 1.0f at the start of every frame.
     std::vector<float> depth_;
-    std::vector<std::uint64_t> depthStamp_;
-    std::uint64_t depthEpoch_ = 0;
     GeometryIR ir_; // reused across simulate(FrameTrace) calls
 };
 

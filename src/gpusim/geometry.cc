@@ -6,9 +6,7 @@ namespace msim::gpusim
 {
 
 void
-GeometryProcessor::transformDraw(const gfx::DrawCall &draw, DrawIR &out,
-                                 std::vector<util::Vec2f> &screen,
-                                 std::vector<float> &depth) const
+GeometryProcessor::transformDraw(const gfx::DrawCall &draw, DrawIR &out)
 {
     const gfx::SceneTrace &scene = binding_->scene();
     const gfx::Mesh &mesh = scene.meshes[draw.meshId];
@@ -31,15 +29,15 @@ GeometryProcessor::transformDraw(const gfx::DrawCall &draw, DrawIR &out,
     const float cosR = std::cos(draw.rotation);
     const float sinR = std::sin(draw.rotation);
 
-    screen.resize(mesh.positions.size());
-    depth.resize(mesh.positions.size());
+    screen_.resize(mesh.positions.size());
+    depth_.resize(mesh.positions.size());
     for (std::size_t i = 0; i < mesh.positions.size(); ++i) {
         const util::Vec3f &p = mesh.positions[i];
-        screen[i] = {cx + s * (p.x * cosR - p.y * sinR),
-                     cy + s * (p.x * sinR + p.y * cosR)};
+        screen_[i] = {cx + s * (p.x * cosR - p.y * sinR),
+                      cy + s * (p.x * sinR + p.y * cosR)};
         // Mesh-local z perturbs the draw depth so 3D meshes get
         // intra-draw occlusion; 0.2 keeps draws depth-ordered.
-        depth[i] = draw.depth + 0.2f * p.z * draw.scale;
+        depth_[i] = draw.depth + 0.2f * p.z * draw.scale;
     }
 
     out.triangles.clear();
@@ -48,8 +46,8 @@ GeometryProcessor::transformDraw(const gfx::DrawCall &draw, DrawIR &out,
         ScreenTriangle tri;
         for (int k = 0; k < 3; ++k) {
             const std::uint32_t idx = mesh.indices[t + k];
-            tri.v[k] = screen[idx];
-            tri.z[k] = depth[idx];
+            tri.v[k] = screen_[idx];
+            tri.z[k] = depth_[idx];
             tri.uv[k] = mesh.uvs[idx];
         }
         if (tri.area2() == 0.0f)
@@ -63,23 +61,6 @@ GeometryProcessor::transformDraw(const gfx::DrawCall &draw, DrawIR &out,
     }
 }
 
-GeometryIR
-GeometryProcessor::process(const gfx::FrameTrace &frame) const
-{
-    GeometryIR ir;
-    ir.frameIndex = frame.index;
-    ir.draws.reserve(frame.draws.size());
-
-    std::vector<util::Vec2f> screen;
-    std::vector<float> depth;
-    for (const gfx::DrawCall &draw : frame.draws) {
-        DrawIR out;
-        transformDraw(draw, out, screen, depth);
-        ir.draws.push_back(std::move(out));
-    }
-    return ir;
-}
-
 void
 GeometryProcessor::processInto(const gfx::FrameTrace &frame,
                                GeometryIR &out)
@@ -89,7 +70,7 @@ GeometryProcessor::processInto(const gfx::FrameTrace &frame,
     // alive; growth default-constructs the tail in place.
     out.draws.resize(frame.draws.size());
     for (std::size_t i = 0; i < frame.draws.size(); ++i)
-        transformDraw(frame.draws[i], out.draws[i], screen_, depth_);
+        transformDraw(frame.draws[i], out.draws[i]);
 }
 
 } // namespace msim::gpusim

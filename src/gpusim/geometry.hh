@@ -56,25 +56,19 @@ class GeometryProcessor
         : config_(config), binding_(&binding)
     {}
 
-    GeometryIR process(const gfx::FrameTrace &frame) const;
-
     /**
-     * Like process(), but fills @p out in place so a caller looping
-     * over frames reuses the draw/triangle allocations of the
-     * previous frame, along with the processor's own per-vertex
-     * scratch (the values are identical to process()).
+     * Transform @p frame into @p out, in place: a caller looping over
+     * frames reuses the draw/triangle allocations of the previous
+     * frame, along with the processor's own per-vertex scratch.
      */
     void processInto(const gfx::FrameTrace &frame, GeometryIR &out);
 
   private:
-    /** Transform one draw; shared by process() and processInto(). */
-    void transformDraw(const gfx::DrawCall &draw, DrawIR &out,
-                       std::vector<util::Vec2f> &screen,
-                       std::vector<float> &depth) const;
+    void transformDraw(const gfx::DrawCall &draw, DrawIR &out);
 
     GpuConfig config_;
     const SceneBinding *binding_;
-    // processInto() scratch, reused across frames.
+    // Per-vertex scratch, reused across draws and frames.
     std::vector<util::Vec2f> screen_;
     std::vector<float> depth_;
 };

@@ -2,10 +2,13 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "gpusim/functional_simulator.hh"
 #include "gpusim/gpu_config.hh"
+#include "gpusim/imr_model.hh"
 #include "gpusim/timing_simulator.hh"
+#include "sim/random.hh"
 #include "workloads/workloads.hh"
 
 using namespace msim;
@@ -163,23 +166,239 @@ TEST(TimingSimulator, HsrNeverShadesMoreFragments)
     EXPECT_GT(hsr.fsInvocations, 0u);
 }
 
-TEST(TimingSimulator, ActivityAgreesWithFunctionalSimulator)
+namespace
+{
+
+/**
+ * The functional pass as it was before the fused quad kernel: each
+ * covered sample of rasterizeTriangleInTile()'s quads is depth-tested
+ * on its own against a row-major screen buffer cleared to 1.0f. Every
+ * sample must lie on the screen.
+ */
+FrameActivity
+perSampleActivity(const GpuConfig &config, const SceneBinding &binding,
+                  const GeometryIR &ir)
+{
+    std::vector<std::uint32_t> column(binding.scene().shaders.size());
+    std::size_t numVs = 0, numFs = 0;
+    for (const gfx::ShaderProgram &s : binding.scene().shaders)
+        column[s.id] = static_cast<std::uint32_t>(
+            s.kind == gfx::ShaderKind::Vertex ? numVs++ : numFs++);
+
+    const int width = static_cast<int>(config.screenWidth);
+    const int height = static_cast<int>(config.screenHeight);
+    const util::BBox2i screen{0, 0, width, height};
+    std::vector<float> depth(static_cast<std::size_t>(width) *
+                                 static_cast<std::size_t>(height),
+                             1.0f);
+    FrameActivity act;
+    act.frameIndex = ir.frameIndex;
+    act.vsCounts.assign(numVs, 0);
+    act.fsCounts.assign(numFs, 0);
+    for (const DrawIR &draw : ir.draws) {
+        act.verticesShaded += draw.vertexCount;
+        act.vsCounts[column[draw.vsId]] += draw.vertexCount;
+        act.primitives += draw.triangles.size();
+        std::uint64_t shaded = 0;
+        for (const ScreenTriangle &tri : draw.triangles) {
+            rasterizeTriangleInTile(
+                tri, screen, [&](const QuadFragment &quad) {
+                    for (int s = 0; s < 4; ++s) {
+                        if (!(quad.mask & (1 << s)))
+                            continue;
+                        const int x = quad.x + (s & 1);
+                        const int y = quad.y + (s >> 1);
+                        ASSERT_TRUE(x >= 0 && x < width && y >= 0 &&
+                                    y < height)
+                            << "sample (" << x << ", " << y
+                            << ") is off the screen";
+                        float &d = depth[static_cast<std::size_t>(y) *
+                                             static_cast<std::size_t>(
+                                                 width) +
+                                         static_cast<std::size_t>(x)];
+                        if (quad.z[s] <= d) {
+                            if (!draw.transparent)
+                                d = quad.z[s];
+                            ++shaded;
+                        }
+                    }
+                });
+        }
+        act.fragmentsShaded += shaded;
+        act.fsCounts[column[draw.fsId]] += shaded;
+    }
+    return act;
+}
+
+void
+expectSameActivity(const FrameActivity &a, const FrameActivity &b,
+                   const std::string &what)
+{
+    EXPECT_EQ(a.frameIndex, b.frameIndex) << what;
+    EXPECT_EQ(a.primitives, b.primitives) << what;
+    EXPECT_EQ(a.verticesShaded, b.verticesShaded) << what;
+    EXPECT_EQ(a.fragmentsShaded, b.fragmentsShaded) << what;
+    EXPECT_EQ(a.vsCounts, b.vsCounts) << what;
+    EXPECT_EQ(a.fsCounts, b.fsCounts) << what;
+}
+
+/** Draws and triangles that exercise the kernel's special cases. */
+struct PrefixCoverage
+{
+    std::size_t transparentTriangles = 0;
+    std::size_t offScreenTriangles = 0; // extend past a screen edge
+};
+
+/**
+ * Run the first @p frames frames of every benchmark at @p config and
+ * check the fused functional kernel against the per-sample loop and
+ * against the activity the timing model reports for the same frames.
+ */
+PrefixCoverage
+checkPrefix(const GpuConfig &config, std::size_t frames)
+{
+    PrefixCoverage seen;
+    for (const std::string &alias : workloads::benchmarkNames()) {
+        const gfx::SceneTrace scene =
+            workloads::buildBenchmark(alias, 1.0, frames);
+        SceneBinding binding(scene);
+        GeometryProcessor geometry(config, binding);
+        FunctionalSimulator functional(config, binding);
+        TimingSimulator timing(config, binding);
+        GeometryIR ir;
+        for (const gfx::FrameTrace &frame : scene.frames) {
+            geometry.processInto(frame, ir);
+            for (const DrawIR &draw : ir.draws)
+                for (const ScreenTriangle &tri : draw.triangles) {
+                    const util::BBox2i box = tri.bounds();
+                    if (draw.transparent)
+                        ++seen.transparentTriangles;
+                    if (box.x0 < 0 || box.y0 < 0 ||
+                        box.x1 > static_cast<int>(config.screenWidth) ||
+                        box.y1 > static_cast<int>(config.screenHeight))
+                        ++seen.offScreenTriangles;
+                }
+            const std::string what =
+                alias + " frame " + std::to_string(frame.index);
+
+            const FrameActivity fused = functional.simulate(frame);
+            expectSameActivity(fused,
+                               perSampleActivity(config, binding, ir),
+                               what + " (per-sample loop)");
+            FrameActivity fromTiming;
+            timing.simulate(ir, &fromTiming);
+            expectSameActivity(fused, fromTiming, what + " (timing)");
+            if (::testing::Test::HasFailure())
+                return seen;
+        }
+    }
+    return seen;
+}
+
+} // namespace
+
+TEST(FunctionalSimulator, FusedKernelIsExactOnEveryPrefixFrame)
+{
+    const PrefixCoverage seen =
+        checkPrefix(GpuConfig::evaluationScaled(), 64);
+    EXPECT_GT(seen.transparentTriangles, 0u);
+    EXPECT_GT(seen.offScreenTriangles, 0u);
+}
+
+// Synthetic frames built to hit rounding: triangles whose z is exactly
+// the clear value 1.0f (a sample passes only if its interpolated z
+// does not round above it), and draws repeated with the same vertices
+// as transparent draws (every depth compare is a tie). Any change to
+// the interpolation's operation order or to the compare shows up as a
+// count difference against the per-sample loop.
+TEST(FunctionalSimulator, FusedKernelIsExactAtDepthTies)
 {
     SceneBinding binding(testScene());
-    const GpuConfig config = GpuConfig::evaluationScaled();
+    const gfx::FrameTrace &first = testScene().frames[0];
+    ASSERT_FALSE(first.draws.empty());
+    for (const std::uint32_t width : {192u, 191u}) {
+        GpuConfig config = GpuConfig::evaluationScaled();
+        config.screenWidth = width;
+        config.screenHeight = width == 192u ? 96u : 95u;
+        const float w = static_cast<float>(config.screenWidth);
+        const float h = static_cast<float>(config.screenHeight);
+        FunctionalSimulator functional(config, binding);
+        TimingSimulator timing(config, binding);
+        sim::Rng rng(width);
+        for (std::uint32_t f = 0; f < 8; ++f) {
+            GeometryIR ir;
+            ir.frameIndex = f;
+            for (int d = 0; d < 24; ++d) {
+                const gfx::DrawCall &src =
+                    first.draws[static_cast<std::size_t>(d) %
+                                first.draws.size()];
+                DrawIR draw;
+                draw.vsId = src.vsId;
+                draw.fsId = src.fsId;
+                draw.vertexCount = 3;
+                if (d % 3 == 2) {
+                    // The previous draw again, blended: all ties.
+                    draw.triangles = ir.draws.back().triangles;
+                    draw.transparent = true;
+                    ir.draws.push_back(std::move(draw));
+                    continue;
+                }
+                const bool atClear = d % 3 == 0;
+                for (int t = 0; t < 12; ++t) {
+                    ScreenTriangle tri;
+                    const double cx = rng.range(-10.0, w + 10.0);
+                    const double cy = rng.range(-10.0, h + 10.0);
+                    for (int k = 0; k < 3; ++k) {
+                        tri.v[k] = {
+                            static_cast<float>(cx + rng.range(-30, 30)),
+                            static_cast<float>(cy + rng.range(-30, 30))};
+                        tri.z[k] = atClear ? 1.0f
+                                           : static_cast<float>(
+                                                 rng.range(0.2, 0.9));
+                    }
+                    draw.triangles.push_back(tri);
+                }
+                ir.draws.push_back(std::move(draw));
+            }
+            const std::string what = std::to_string(width) + " wide, frame " +
+                                     std::to_string(f);
+            const FrameActivity fused = functional.simulate(ir);
+            EXPECT_GT(fused.fragmentsShaded, 0u) << what;
+            expectSameActivity(fused,
+                               perSampleActivity(config, binding, ir),
+                               what + " (per-sample loop)");
+            FrameActivity fromTiming;
+            timing.simulate(ir, &fromTiming);
+            expectSameActivity(fused, fromTiming, what + " (timing)");
+        }
+    }
+}
 
+// On an odd screen the last quad column and row reach one sample past
+// the screen edge. Those samples must be dropped, not shaded at the
+// pixel index they alias to (the next row, or past the buffer on the
+// last row). The IMR model shades the same samples as the functional
+// pass: it keeps every depth pass, transparent or not.
+TEST(FunctionalSimulator, OddScreenDropsSamplesPastTheEdge)
+{
+    GpuConfig config = GpuConfig::evaluationScaled();
+    config.screenWidth = 191;
+    config.screenHeight = 95;
+    const PrefixCoverage seen = checkPrefix(config, 16);
+    EXPECT_GT(seen.offScreenTriangles, 0u);
+
+    const gfx::SceneTrace scene = workloads::buildBenchmark("hwh", 1.0, 50);
+    SceneBinding binding(scene);
+    GeometryProcessor geometry(config, binding);
     FunctionalSimulator functional(config, binding);
-    const FrameActivity fn = functional.simulate(testScene().frames[0]);
-
-    TimingSimulator timing(config, binding);
-    FrameActivity fromTiming;
-    timing.simulate(testScene().frames[0], &fromTiming);
-
-    EXPECT_EQ(fn.primitives, fromTiming.primitives);
-    EXPECT_EQ(fn.verticesShaded, fromTiming.verticesShaded);
-    EXPECT_EQ(fn.fragmentsShaded, fromTiming.fragmentsShaded);
-    EXPECT_EQ(fn.vsCounts, fromTiming.vsCounts);
-    EXPECT_EQ(fn.fsCounts, fromTiming.fsCounts);
+    ImrMemoryModel imr(config, binding.framebufferBase());
+    GeometryIR ir;
+    for (const gfx::FrameTrace &frame : scene.frames) {
+        geometry.processInto(frame, ir);
+        EXPECT_EQ(imr.frameTraffic(ir).fragmentsShaded,
+                  functional.simulate(ir).fragmentsShaded)
+            << "frame " << frame.index;
+    }
 }
 
 TEST(TimingSimulator, TracingEmitsEveryPipelineStage)
