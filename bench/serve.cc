@@ -153,13 +153,6 @@ main(int argc, char **argv)
     std::size_t frames = 48;
     if (const char *env = std::getenv("MEGSIM_FRAME_LIMIT"))
         frames = static_cast<std::size_t>(std::atoll(env));
-    // Real workloads replay API traces from disk, so shard wall time
-    // is wait-dominated; the think time reproduces that I/O-bound
-    // profile deterministically so the scheduling comparison measures
-    // wait-overlap, not this machine's core count.
-    std::size_t thinkMs = 200;
-    if (const char *env = std::getenv("MEGSIM_SHARD_THINK_MS"))
-        thinkMs = static_cast<std::size_t>(std::atoll(env));
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -181,23 +174,18 @@ main(int argc, char **argv)
         } else if (arg == "--frames") {
             if (const char *v = next())
                 frames = static_cast<std::size_t>(std::atoll(v));
-        } else if (arg == "--think-ms") {
-            if (const char *v = next())
-                thinkMs = static_cast<std::size_t>(std::atoll(v));
         } else if (arg == "--strict") {
             strict = true;
         } else {
             std::fprintf(stderr,
                          "usage: serve [--out PATH] [--ledger PATH]"
                          " [--compare BASELINE.json] [--band PCT]"
-                         " [--strict] [--frames N] [--think-ms MS]\n");
+                         " [--strict] [--frames N]\n");
             return 2;
         }
     }
     if (frames == 0)
         frames = 48;
-    ::setenv("MEGSIM_SHARD_THINK_MS",
-             std::to_string(thinkMs).c_str(), 1);
     // Two shards per single-bench request: FIFO's exclusive waves
     // leave workers idle, which is exactly the contention fair-share
     // reclaims.
@@ -218,11 +206,9 @@ main(int argc, char **argv)
     sched::ServeReport report;
     report.frameLimit = frames;
     report.shardFrames = shardFrames;
-    report.thinkMs = thinkMs;
 
-    std::printf("# serve: %zu frames/request, %zu frames/shard, "
-                "%zu ms think/shard\n",
-                frames, shardFrames, thinkMs);
+    std::printf("# serve: %zu frames/request, %zu frames/shard\n",
+                frames, shardFrames);
     std::printf("%-8s %-9s %-6s %12s %12s %10s %10s\n", "workers",
                 "requests", "policy", "makespan_s", "req/s",
                 "p50_s", "p95_s");

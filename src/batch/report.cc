@@ -97,11 +97,9 @@ util::Json
 CampaignReport::toJson() const
 {
     util::Json root = util::Json::object();
-    // Suite clustering off must serialize byte-identically to the v2
-    // writer, so every v3 key below is gated on suiteCluster.
-    root.set("schema", suiteCluster ? kSchemaV3 : kSchema);
+    // The suite-cluster keys are optional: written only when set.
+    root.set("schema", kSchema);
     root.set("threads", threads);
-    root.set("mem_mode", memMode);
     if (suiteCluster)
         root.set("suite_cluster", true);
     root.set("degraded", degraded);
@@ -131,11 +129,6 @@ CampaignReport::toJson() const
         row.set("error_percent", metricObject(b.errorPercent));
         row.set("wall_seconds", b.wallSeconds);
         row.set("cache", b.cacheStatus);
-        row.set("mem_mode", b.memMode);
-        if (b.hasExactVsFast) {
-            row.set("exact_vs_fast", metricObject(b.exactVsFast));
-            row.set("audited_frames", b.auditedFrames);
-        }
         if (suiteCluster)
             row.set("borrowed_reps", b.borrowedReps);
         rows.push(std::move(row));
@@ -169,22 +162,14 @@ CampaignReport::fromJson(const util::Json &json)
     if (!schema || !schema->isString())
         return resilience::errorf(resilience::Errc::BadFormat,
                                   "report: missing 'schema'");
-    // v1/v2 reports load fine: every later field is optional and
-    // defaults to the value earlier rows implicitly carried.
-    if (schema->asString() != kSchema &&
-        schema->asString() != kSchemaV1 &&
-        schema->asString() != kSchemaV3)
-        return resilience::errorf(
-            resilience::Errc::BadVersion,
-            "report: schema '%s', expected '%s' (or '%s', '%s')",
-            schema->asString().c_str(), kSchema, kSchemaV1, kSchemaV3);
+    if (schema->asString() != kSchema)
+        return resilience::errorf(resilience::Errc::BadVersion,
+                                  "report: schema '%s', expected '%s'",
+                                  schema->asString().c_str(), kSchema);
 
     CampaignReport report;
-    report.schemaVersion = schema->asString();
     if (const util::Json *sc = json.find("suite_cluster"))
         report.suiteCluster = sc->asBool();
-    if (const util::Json *mode = json.find("mem_mode"))
-        report.memMode = mode->asString();
     if (auto threads = numberAt(json, "threads"); threads.ok())
         report.threads = static_cast<std::size_t>(*threads);
     else
@@ -266,18 +251,6 @@ CampaignReport::fromJson(const util::Json &json)
         b.wallSeconds = *wall;
         if (const util::Json *cache = row.find("cache"))
             b.cacheStatus = cache->asString();
-        if (const util::Json *mode = row.find("mem_mode"))
-            b.memMode = mode->asString();
-        if (const util::Json *audit = row.find("exact_vs_fast")) {
-            auto parsed = metricObjectInto(audit, "exact_vs_fast",
-                                           b.exactVsFast);
-            if (!parsed.ok())
-                return parsed.error();
-            b.hasExactVsFast = true;
-            if (auto frames = numberAt(row, "audited_frames");
-                frames.ok())
-                b.auditedFrames = static_cast<std::size_t>(*frames);
-        }
         if (auto borrowed = numberAt(row, "borrowed_reps");
             borrowed.ok())
             b.borrowedReps = static_cast<std::size_t>(*borrowed);
@@ -346,8 +319,6 @@ Thresholds::Thresholds()
 {
     for (std::size_t m = 0; m < kNumMetrics; ++m) {
         maxErrorPercent[m] = std::numeric_limits<double>::infinity();
-        maxExactVsFastPercent[m] =
-            std::numeric_limits<double>::infinity();
         suiteMaxErrorPercent[m] =
             std::numeric_limits<double>::infinity();
     }
@@ -367,12 +338,6 @@ Thresholds::fromJson(const util::Json &json)
         for (std::size_t m = 0; m < kNumMetrics; ++m)
             if (const util::Json *v = errs->find(kMetricKeys[m]))
                 limits.maxErrorPercent[m] = v->asNumber();
-    }
-    if (const util::Json *errs =
-            json.find("max_exact_vs_fast_percent")) {
-        for (std::size_t m = 0; m < kNumMetrics; ++m)
-            if (const util::Json *v = errs->find(kMetricKeys[m]))
-                limits.maxExactVsFastPercent[m] = v->asNumber();
     }
     if (const util::Json *v = json.find("min_reduction"))
         limits.minReduction = v->asNumber();
@@ -421,18 +386,6 @@ checkThresholds(const CampaignReport &report, const Thresholds &limits)
                               "%.4f%%",
                               b.alias.c_str(), kMetricKeys[m],
                               b.errorPercent[m], errorLimits[m]);
-                violations.emplace_back(line);
-            }
-        }
-        for (std::size_t m = 0; b.hasExactVsFast && m < kNumMetrics;
-             ++m) {
-            if (b.exactVsFast[m] > limits.maxExactVsFastPercent[m]) {
-                std::snprintf(line, sizeof(line),
-                              "%s: %s exact-vs-fast error %.4f%% "
-                              "exceeds limit %.4f%%",
-                              b.alias.c_str(), kMetricKeys[m],
-                              b.exactVsFast[m],
-                              limits.maxExactVsFastPercent[m]);
                 violations.emplace_back(line);
             }
         }
@@ -502,12 +455,6 @@ diffReports(const CampaignReport &a, const CampaignReport &b)
             continue; // field diffs of misaligned rows are noise
         }
         const char *where = ra.alias.c_str();
-        if (ra.memMode != rb.memMode) {
-            std::snprintf(line, sizeof(line),
-                          "%s: mem_mode '%s' != '%s'", where,
-                          ra.memMode.c_str(), rb.memMode.c_str());
-            diffs.emplace_back(line);
-        }
         number(where, "frames", static_cast<double>(ra.frames),
                static_cast<double>(rb.frames));
         number(where, "k", static_cast<double>(ra.chosenK),
@@ -522,16 +469,6 @@ diffReports(const CampaignReport &a, const CampaignReport &b)
                           kMetricKeys[m]);
             number(where, what, ra.errorPercent[m],
                    rb.errorPercent[m]);
-        }
-        // The audit column only exists on fast rows; compare it when
-        // both sides carry it so exact-vs-v1 diffs stay clean.
-        for (std::size_t m = 0;
-             ra.hasExactVsFast && rb.hasExactVsFast && m < kNumMetrics;
-             ++m) {
-            char what[48];
-            std::snprintf(what, sizeof(what), "exact_vs_fast.%s",
-                          kMetricKeys[m]);
-            number(where, what, ra.exactVsFast[m], rb.exactVsFast[m]);
         }
         if (a.suiteCluster && b.suiteCluster)
             number(where, "borrowed_reps",

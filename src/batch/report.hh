@@ -49,24 +49,10 @@ struct BenchmarkReport
      */
     std::string cacheStatus = "built";
     /**
-     * How the ground truth was simulated: "exact" (the default
-     * cycle-accurate walk) or "fast" (the calibrated --fast-mem
-     * model). Schema v2; absent in v1 reports, which were always
-     * exact.
-     */
-    std::string memMode = "exact";
-    /**
-     * Fast-mem audit column (schema v2, "fast" rows only): relative
-     * error (%) of the model's metric totals against exact re-runs of
-     * the audited frames, plus how many frames were audited.
-     */
-    bool hasExactVsFast = false;
-    double exactVsFast[kNumMetrics] = {};
-    std::size_t auditedFrames = 0;
-    /**
-     * Suite-cluster column (schema v3): how many of this benchmark's
-     * serving representatives were simulated under ANOTHER benchmark
-     * (cross-benchmark timing reuse). Zero in per-bench mode.
+     * Suite-cluster column (written only when suite_cluster is set):
+     * how many of this benchmark's serving representatives were
+     * simulated under ANOTHER benchmark (cross-benchmark timing
+     * reuse). Zero in per-bench mode.
      */
     std::size_t borrowedReps = 0;
 };
@@ -90,26 +76,16 @@ struct QuarantinedShard
 struct CampaignReport
 {
     /**
-     * v2 adds the fast-mem provenance fields (campaign + per-row
-     * mem_mode, per-row exact_vs_fast / audited_frames). fromJson()
-     * still accepts v1 — every added field is optional with an
-     * exact-mode default, so pre-v2 reports load, diff and gate
-     * unchanged.
-     *
-     * v3 adds the suite-cluster fields (campaign `suite_cluster`,
-     * per-row `borrowed_reps`, suite `shared_representatives` /
-     * `per_bench_representatives` / `suite_reduction_factor`).
-     * toJson() only emits v3 when suiteCluster is set — a campaign
-     * with suite clustering off serializes BYTE-IDENTICALLY to the
-     * v2 writer, which is what the golden tests pin.
+     * The one report schema. The suite-cluster fields (campaign
+     * `suite_cluster`, per-row `borrowed_reps`, suite
+     * `shared_representatives` / `per_bench_representatives` /
+     * `suite_reduction_factor`) are optional: toJson() writes them
+     * only when suiteCluster is set, and fromJson() reads them when
+     * present. Any other schema tag is refused with BadVersion.
      */
-    static constexpr const char *kSchema = "megsim-campaign-v2";
-    static constexpr const char *kSchemaV1 = "megsim-campaign-v1";
-    static constexpr const char *kSchemaV3 = "megsim-campaign-v3";
+    static constexpr const char *kSchema = "megsim-campaign-v4";
 
     std::size_t threads = 0;
-    /** "exact" or "fast": the mode every result row ran under. */
-    std::string memMode = "exact";
     /**
      * Degraded completion: at least one shard was quarantined, its
      * benchmark has no result row, and the CLI exits with the
@@ -120,9 +96,8 @@ struct CampaignReport
     std::vector<BenchmarkReport> benchmarks;
 
     /**
-     * Suite-cluster provenance (schema v3). The schema the report was
-     * parsed from (or will serialize as) is recorded so tooling can
-     * refuse cross-schema comparisons with a clear message.
+     * Suite-cluster provenance. Tooling refuses to compare a
+     * suite-cluster report with a per-bench one (see diffReports()).
      */
     bool suiteCluster = false;
     /** Shared representatives actually timing-simulated suite-wide. */
@@ -131,7 +106,6 @@ struct CampaignReport
     std::size_t perBenchRepresentatives = 0;
     /** perBenchRepresentatives / sharedRepresentatives (>= 1 good). */
     double suiteReductionFactor = 0.0;
-    std::string schemaVersion = kSchema;
 
     // Suite aggregates, derived by computeAggregates().
     double totalFrames = 0.0;
@@ -170,17 +144,10 @@ struct Thresholds
     /** Suite floor on the mean reduction factor. */
     double minMeanReduction = 0.0;
     /**
-     * Per-benchmark ceiling on each metric's exact-vs-fast audit
-     * error (%); only rows carrying the audit column are checked.
-     * Optional `max_exact_vs_fast_percent` object — the schema stays
-     * v1 because old parsers ignore unknown keys.
-     */
-    double maxExactVsFastPercent[kNumMetrics];
-    /**
      * Optional nested `suite` block gating suite-cluster reports:
      * per-benchmark fold-back error ceilings (REPLACING
-     * max_error_percent for v3 reports, whose errors come from
-     * cross-benchmark reuse and are calibrated separately) and the
+     * max_error_percent for suite-cluster reports, whose errors come
+     * from cross-benchmark reuse and are calibrated separately) and the
      * floor on suite_reduction_factor. Ignored for per-bench reports.
      */
     double suiteMaxErrorPercent[kNumMetrics];

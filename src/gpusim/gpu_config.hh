@@ -12,8 +12,6 @@
 
 #include "mem/cache.hh"
 #include "mem/dram.hh"
-#include "mem/fastmem.hh"
-#include "mem/mshr.hh"
 
 namespace msim::gpusim
 {
@@ -22,14 +20,6 @@ struct MemoryConfig
 {
     mem::CacheConfig l2;
     mem::DramConfig dram;
-    /**
-     * MSHR file in front of the L2 merging redundant fill-side walks
-     * (gpgpusim texture-FIFO style, `F:128:4`). Result-neutral by
-     * construction — merged probes are provably identical replays
-     * (see mem/mshr.hh) — so it is deliberately EXCLUDED from
-     * fingerprint(): toggling it must not invalidate frame caches.
-     */
-    mem::MshrConfig l2Mshr{mem::MshrConfig::Policy::TexFifo, 128, 4};
 };
 
 struct GpuConfig
@@ -74,14 +64,6 @@ struct GpuConfig
     // Visibility policy: false = TBR with early-Z, true = TBDR with
     // deferred Hidden Surface Removal (Sec. IV-A ablation).
     bool hsrEnabled = false;
-
-    /**
-     * Opt-in calibrated sampled cache model replacing most texture
-     * walks (`--fast-mem` / MEGSIM_FAST_MEM). Changes results, so it
-     * IS mixed into fingerprint() — but only when enabled, keeping
-     * every existing exact-mode fingerprint stable.
-     */
-    mem::FastMemConfig fastMem;
 
     /** The paper's Table I configuration. */
     static GpuConfig baseline();

@@ -34,8 +34,6 @@
 #include "gpusim/scene_binding.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
-#include "mem/fastmem.hh"
-#include "mem/mshr.hh"
 #include "obs/attrib.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
@@ -217,16 +215,6 @@ class TimingSimulator
             }
             if (a.hit)
                 return t;
-            // Fill side of the L1 miss: if the MSHR still holds this
-            // line's walk and the L2 state stamp matches, the probe
-            // below would provably be an MRU-way read hit — replay
-            // its latency and counters without performing it (see
-            // mem/mshr.hh for why this is bit-identical).
-            const std::uint64_t l2Line = l2_.lineOf(addr);
-            if (l2Mshr_.tryMerge(l2Line, l2_.stateTick())) {
-                l2_.noteMergedHit();
-                return t + l2_.config().hitLatency;
-            }
             const mem::CacheAccess l2a =
                 l2_.accessDeferred(addr, false); // fills read from L2
             t += l2_.config().hitLatency;
@@ -240,9 +228,6 @@ class TimingSimulator
                             frameIndex_, t, done, addr);
                 t = done;
             }
-            // Record the completed walk: the line is resident and MRU
-            // at the current stamp, so repeat fills can merge onto it.
-            l2Mshr_.noteWalk(l2Line, l2_.stateTick());
             return t;
         }
         const mem::CacheAccess l2a = l2_.accessDeferred(addr, write);
@@ -278,34 +263,6 @@ class TimingSimulator
         return t;
     }
 
-    /**
-     * The per-sample texture walk: exact by default; under --fast-mem
-     * the calibration prefix and every probeEvery-th walk stay exact
-     * (and feed the fit), the rest return the fitted mean latency
-     * without touching the hierarchy. Counter deltas of the modeled
-     * walks are folded in flushFrameStats() from the observed rates.
-     */
-    sim::Tick
-    textureAccess(mem::Cache &tc, sim::Tick now, sim::Addr addr)
-    {
-        if (!fastMemOn_)
-            return memAccess(&tc, now, addr, false,
-                             &batch_.rasterDramLines);
-        if (fastMem_.wantExact()) {
-            const std::uint64_t l1Hits0 = tc.hits();
-            const std::uint64_t l2Hits0 = l2_.hits();
-            const std::uint64_t dram0 = batch_.rasterDramLines;
-            const sim::Tick done = memAccess(
-                &tc, now, addr, false, &batch_.rasterDramLines);
-            fastMem_.observe(done - now, tc.hits() != l1Hits0,
-                             l2_.hits() != l2Hits0,
-                             batch_.rasterDramLines != dram0);
-            return done;
-        }
-        fastMem_.noteModeled();
-        return now + fastMem_.modeledLatency();
-    }
-
     /** Flush every deferred counter (batch, caches, DRAM, queues). */
     void flushFrameStats();
 
@@ -323,11 +280,6 @@ class TimingSimulator
     mem::Cache tileCache_;
     mem::Cache l2_;
     mem::Dram dram_;
-    /** Walk records in front of the L2; see memWalk(). */
-    mem::MshrFile l2Mshr_;
-    /** --fast-mem model state (per frame); see textureAccess(). */
-    mem::FastMemModel fastMem_;
-    bool fastMemOn_ = false;
 
     PipeQueue vertexInQueue_;
     PipeQueue vertexOutQueue_;

@@ -49,11 +49,15 @@ constexpr FieldSpec kRunStartFields[] = {
     {"benches", FieldKind::StrArr, false},
     {"fingerprint", FieldKind::Str, false},
     {"env", FieldKind::StrMap, false},
-    {"mem_mode", FieldKind::Str, false},
-    // Trajectory mode: "exact" / "fast" / "suite-cluster" / ... —
-    // what `perf --history` groups rows by so modes never compare
-    // against each other.
+    // Trajectory mode: "exact" / "suite-cluster" — what `perf
+    // --history` groups rows by so modes never compare against each
+    // other.
     {"mode", FieldKind::Str, false},
+    // No longer written. Ledgers recorded while the fast-mem model
+    // existed carry it, and they must still validate and fold into
+    // `perf --history`; the same holds for the three legacy bench
+    // fields below.
+    {"mem_mode", FieldKind::Str, false},
 };
 
 constexpr FieldSpec kCacheFields[] = {
@@ -77,6 +81,7 @@ constexpr FieldSpec kBenchFields[] = {
     {"wall_seconds", FieldKind::Num, false},
     {"cache_status", FieldKind::Str, false},
     {"error", FieldKind::NumMap, false},
+    // Legacy fast-mem fields, read only (see kRunStartFields).
     {"mem_mode", FieldKind::Str, false},
     {"exact_vs_fast", FieldKind::NumMap, false},
     {"audited_frames", FieldKind::Num, false},

@@ -44,7 +44,6 @@ ServeReport::toJson() const
     root.set("schema", kSchema);
     root.set("frame_limit", frameLimit);
     root.set("shard_frames", shardFrames);
-    root.set("think_ms", thinkMs);
     Json rows = Json::array();
     for (const ServeLoadPoint &p : points) {
         Json row = Json::object();
@@ -77,8 +76,6 @@ ServeReport::fromJson(const Json &json)
         report.frameLimit = static_cast<std::size_t>(*v);
     if (auto v = numberAt(json, "shard_frames"); v.ok())
         report.shardFrames = static_cast<std::size_t>(*v);
-    if (auto v = numberAt(json, "think_ms"); v.ok())
-        report.thinkMs = static_cast<std::size_t>(*v);
     const Json *rows = json.find("points");
     if (!rows || !rows->isArray())
         return errorf(Errc::BadFormat,

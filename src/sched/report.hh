@@ -42,8 +42,6 @@ struct ServeReport
     // Run parameters (so two reports are known comparable).
     std::size_t frameLimit = 0;
     std::size_t shardFrames = 0;
-    /** Per-shard trace-ingest think time the load was run with. */
-    std::size_t thinkMs = 0;
 
     std::vector<ServeLoadPoint> points;
 

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <csignal>
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -139,20 +138,6 @@ runShard(BenchState &bench, const ShardSpec &spec,
                   spec.id, spec.attempt);
         for (;;)
             ::sleep(3600); // until the supervisor's deadline SIGKILL
-    }
-
-    // Optional per-shard think time modeling trace-ingest I/O: real
-    // graphics workloads replay API traces from disk, so shard wall
-    // time is wait-dominated, not CPU-dominated. bench/serve sets
-    // this to make the fleet's wait-overlap measurable on any core
-    // count; it is 0 (free) everywhere else.
-    {
-        static const long thinkMs = [] {
-            const char *env = std::getenv("MEGSIM_SHARD_THINK_MS");
-            return env ? std::atol(env) : 0L;
-        }();
-        if (thinkMs > 0 && resumed < frames)
-            ::usleep(static_cast<useconds_t>(thinkMs) * 1000);
     }
 
     for (std::size_t i = resumed; i < frames; ++i) {

@@ -199,13 +199,19 @@ TEST_F(BatchTest, ReportJsonRoundTripsBitForBit)
                   report.benchmarks[i].cacheStatus);
     }
 
-    // A report written by a future incompatible schema must refuse to
-    // parse rather than silently mis-gate.
-    std::ofstream(path("bogus.json"))
-        << "{\"schema\": \"megsim-campaign-v999\"}";
-    auto bogus = batch::CampaignReport::load(path("bogus.json"));
-    ASSERT_FALSE(bogus.ok());
-    EXPECT_EQ(bogus.error().code, resilience::Errc::BadVersion);
+    // A report written by a future incompatible schema, or by one of
+    // the retired ones, must refuse to parse rather than silently
+    // mis-gate.
+    for (const char *tag :
+         {"megsim-campaign-v999", "megsim-campaign-v1",
+          "megsim-campaign-v2", "megsim-campaign-v3"}) {
+        std::ofstream(path("bogus.json"), std::ios::trunc)
+            << "{\"schema\": \"" << tag << "\"}";
+        auto bogus = batch::CampaignReport::load(path("bogus.json"));
+        ASSERT_FALSE(bogus.ok()) << tag;
+        EXPECT_EQ(bogus.error().code, resilience::Errc::BadVersion)
+            << tag;
+    }
 }
 
 TEST_F(BatchTest, JsonParserRejectsMalformedInput)
@@ -440,110 +446,10 @@ TEST_F(BatchTest, CanonicalReportMatchesGoldenAtEveryThreadCount)
             << "campaign report diverged at " << threads << " threads";
 }
 
-TEST_F(BatchTest, FastMemColumnsRoundTripAndV1ReportsLoadAsExact)
-{
-    batch::CampaignReport report;
-    report.memMode = "fast";
-    batch::BenchmarkReport b;
-    b.alias = "hcr";
-    b.frames = 48;
-    b.chosenK = 9;
-    b.representatives = 9;
-    b.reduction = 5.3;
-    b.wallSeconds = 1.0;
-    b.cacheStatus = "built";
-    b.memMode = "fast";
-    b.hasExactVsFast = true;
-    b.auditedFrames = 6;
-    for (std::size_t m = 0; m < batch::kNumMetrics; ++m)
-        b.exactVsFast[m] = 1.5 * static_cast<double>(m + 1);
-    report.benchmarks.push_back(b);
-    report.computeAggregates();
-    ASSERT_TRUE(report.save(path("fast.json")).ok());
-
-    auto loaded = batch::CampaignReport::load(path("fast.json"));
-    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-    EXPECT_EQ(loaded->memMode, "fast");
-    ASSERT_EQ(loaded->benchmarks.size(), 1u);
-    const batch::BenchmarkReport &row = loaded->benchmarks[0];
-    EXPECT_EQ(row.memMode, "fast");
-    ASSERT_TRUE(row.hasExactVsFast);
-    EXPECT_EQ(row.auditedFrames, 6u);
-    for (std::size_t m = 0; m < batch::kNumMetrics; ++m)
-        EXPECT_EQ(row.exactVsFast[m], b.exactVsFast[m]);
-
-    // A v1 report (pre-fast-mem schema tag, no mem_mode, no audit
-    // column) must load with every new field at its exact default —
-    // committed baselines keep gating without regeneration.
-    std::string text = util::Json(report.toJson()).dump();
-    const std::string v2tag = batch::CampaignReport::kSchema;
-    const std::size_t at = text.find(v2tag);
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, v2tag.size(), batch::CampaignReport::kSchemaV1);
-    // Strip the v2-only keys the way a v1 writer never emits them.
-    auto strip = [&](const std::string &needle) {
-        for (std::size_t pos = text.find(needle);
-             pos != std::string::npos; pos = text.find(needle)) {
-            const std::size_t end = text.find("\n", pos);
-            ASSERT_NE(end, std::string::npos);
-            std::size_t begin = text.rfind("\n", pos);
-            ASSERT_NE(begin, std::string::npos);
-            text.erase(begin, end - begin);
-        }
-    };
-    strip("\"mem_mode\"");
-    std::ofstream(path("v1.json")) << text;
-
-    auto legacy = batch::CampaignReport::load(path("v1.json"));
-    ASSERT_TRUE(legacy.ok()) << legacy.error().message;
-    EXPECT_EQ(legacy->memMode, "exact");
-    ASSERT_EQ(legacy->benchmarks.size(), 1u);
-    EXPECT_EQ(legacy->benchmarks[0].memMode, "exact");
-    // exact_vs_fast survived the strip (only mem_mode was removed),
-    // proving a v1 *schema tag* alone never rejects.
-    EXPECT_TRUE(legacy->benchmarks[0].hasExactVsFast);
-}
-
-TEST_F(BatchTest, ExactVsFastThresholdGatesOnlyAuditedRows)
-{
-    batch::CampaignReport report;
-    batch::BenchmarkReport audited;
-    audited.alias = "hcr";
-    audited.frames = 48;
-    audited.chosenK = 9;
-    audited.representatives = 9;
-    audited.reduction = 5.0;
-    audited.hasExactVsFast = true;
-    audited.exactVsFast[0] = 7.5; // cycles model error
-    report.benchmarks.push_back(audited);
-
-    batch::BenchmarkReport exact;
-    exact.alias = "jjo";
-    exact.frames = 48;
-    exact.chosenK = 3;
-    exact.representatives = 3;
-    exact.reduction = 16.0;
-    exact.errorPercent[0] = 50.0; // would breach if it were audited
-    report.benchmarks.push_back(exact);
-    report.computeAggregates();
-
-    batch::Thresholds limits;
-    limits.maxExactVsFastPercent[0] = 5.0;
-    const std::vector<std::string> violations =
-        batch::checkThresholds(report, limits);
-    ASSERT_EQ(violations.size(), 1u)
-        << "rows without an audit column must not gate";
-    EXPECT_NE(violations[0].find("hcr"), std::string::npos);
-    EXPECT_NE(violations[0].find("exact-vs-fast"), std::string::npos);
-
-    limits.maxExactVsFastPercent[0] = 10.0;
-    EXPECT_TRUE(batch::checkThresholds(report, limits).empty());
-}
-
 TEST_F(BatchTest, SuiteClusterReportIsDeterministicAcrossThreads)
 {
     // The suite-cluster trajectory must be thread-count invariant
-    // exactly like the per-bench one: the canonical v3 report is
+    // exactly like the per-bench one: the canonical report is
     // byte-identical at 1, 2 and 8 threads, and the measured
     // reduction bookkeeping is internally consistent.
     std::string first;
@@ -579,8 +485,9 @@ TEST_F(BatchTest, SuiteClusterReportIsDeterministicAcrossThreads)
         }
 
         const std::string canon = canonicalReport(*report);
-        EXPECT_NE(canon.find("megsim-campaign-v3"),
+        EXPECT_NE(canon.find("megsim-campaign-v4"),
                   std::string::npos);
+        EXPECT_NE(canon.find("suite_cluster"), std::string::npos);
         EXPECT_NE(canon.find("borrowed_reps"), std::string::npos);
         if (first.empty())
             first = canon;
@@ -622,7 +529,7 @@ TEST_F(BatchTest, SuiteReportRoundTripsBitForBitAndDiffsSuiteFields)
     EXPECT_EQ(loaded->benchmarks[0].borrowedReps, 3u);
     EXPECT_EQ(loaded->benchmarks[1].borrowedReps, 2u);
     // Bit-for-bit: re-serializing the loaded report reproduces the
-    // original v3 document exactly.
+    // original document exactly.
     EXPECT_EQ(loaded->toJson().dump(), report.toJson().dump());
 
     // Same numbers, different trajectory: the suite_cluster flag
@@ -647,7 +554,7 @@ TEST_F(BatchTest, SuiteReportRoundTripsBitForBitAndDiffsSuiteFields)
               std::string::npos);
 }
 
-TEST_F(BatchTest, SuiteThresholdsReplacePerBenchLimitsForV3Reports)
+TEST_F(BatchTest, SuiteThresholdsReplacePerBenchLimitsForSuiteReports)
 {
     batch::CampaignReport report;
     report.suiteCluster = true;
@@ -664,7 +571,7 @@ TEST_F(BatchTest, SuiteThresholdsReplacePerBenchLimitsForV3Reports)
     report.benchmarks.push_back(b);
     report.computeAggregates();
 
-    // Per-bench error limits do NOT gate a v3 report: fold-back
+    // Per-bench error limits do NOT gate a suite report: fold-back
     // error has its own calibrated budget in the `suite` block.
     batch::Thresholds limits;
     limits.maxErrorPercent[0] = 1.0;
@@ -695,43 +602,4 @@ TEST_F(BatchTest, SuiteThresholdsReplacePerBenchLimitsForV3Reports)
     EXPECT_TRUE(batch::checkThresholds(report, *parsed).empty())
         << "2.5% fold-back error and 2.0x gain pass the parsed "
            "suite limits";
-}
-
-TEST_F(BatchTest, DiffFlagsMemModeAndAuditDeviations)
-{
-    batch::CampaignReport a;
-    batch::BenchmarkReport row;
-    row.alias = "hcr";
-    row.frames = 48;
-    row.chosenK = 9;
-    row.representatives = 9;
-    row.reduction = 5.0;
-    a.benchmarks.push_back(row);
-    a.computeAggregates();
-
-    batch::CampaignReport b = a;
-    EXPECT_TRUE(batch::diffReports(a, b).empty());
-
-    // Mode mismatch is a real diff (an exact report is not a fast
-    // report even when the numbers agree).
-    b.benchmarks[0].memMode = "fast";
-    const std::vector<std::string> modeDiff = batch::diffReports(a, b);
-    ASSERT_EQ(modeDiff.size(), 1u);
-    EXPECT_NE(modeDiff[0].find("mem_mode"), std::string::npos);
-    b.benchmarks[0].memMode = "exact";
-
-    // The audit column compares only when both sides carry it, so a
-    // fast report diffs clean against its v1-loaded twin ...
-    a.benchmarks[0].hasExactVsFast = true;
-    a.benchmarks[0].exactVsFast[0] = 3.0;
-    EXPECT_TRUE(batch::diffReports(a, b).empty());
-
-    // ... and flags real deviations when both are audited.
-    b.benchmarks[0].hasExactVsFast = true;
-    b.benchmarks[0].exactVsFast[0] = 4.0;
-    const std::vector<std::string> auditDiff =
-        batch::diffReports(a, b);
-    ASSERT_EQ(auditDiff.size(), 1u);
-    EXPECT_NE(auditDiff[0].find("exact_vs_fast.cycles"),
-              std::string::npos);
 }

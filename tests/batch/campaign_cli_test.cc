@@ -76,8 +76,10 @@ TEST(CampaignCli, WritesVersionedReportAndExitsZero)
 
     const std::string text = slurp(json);
     ASSERT_FALSE(text.empty());
-    EXPECT_NE(text.find("\"schema\": \"megsim-campaign-v2\""),
+    EXPECT_NE(text.find("\"schema\": \"megsim-campaign-v4\""),
               std::string::npos);
+    // Per-bench mode writes none of the optional suite-cluster keys.
+    EXPECT_EQ(text.find("suite_cluster"), std::string::npos);
     EXPECT_NE(text.find("\"alias\": \"hcr\""), std::string::npos);
     EXPECT_NE(text.find("\"alias\": \"jjo\""), std::string::npos);
     EXPECT_NE(text.find("\"pool_utilization\""), std::string::npos);
@@ -297,72 +299,6 @@ main(int argc, char **argv)
     return RUN_ALL_TESTS();
 }
 
-TEST(CampaignCli, FastMemReportsFastModeWithAuditColumn)
-{
-    ASSERT_FALSE(cliPath.empty());
-    const std::filesystem::path dir = tempDir();
-    const std::filesystem::path json = dir / "fast.json";
-    const std::filesystem::path log = dir / "fast.log";
-
-    // Audit every frame and calibrate on a short prefix so the tiny
-    // 6-frame run both models walks and measures its error.
-    const int rc = runCli("campaign --benches hcr --fast-mem --out " +
-                              json.string() +
-                              " --ledger " + (dir / "f.jsonl").string(),
-                          log, "MEGSIM_FAST_MEM_AUDIT=1"
-                               " MEGSIM_FAST_MEM_CALIB=64"
-                               " MEGSIM_FAST_MEM_PROBE=16");
-    ASSERT_EQ(rc, 0) << slurp(log);
-
-    const std::string text = slurp(json);
-    EXPECT_NE(text.find("\"mem_mode\": \"fast\""), std::string::npos);
-    EXPECT_NE(text.find("\"exact_vs_fast\""), std::string::npos);
-    EXPECT_NE(text.find("\"audited_frames\""), std::string::npos);
-    EXPECT_NE(slurp(log).find("exact_vs_fast"), std::string::npos);
-
-    // The ledger stays schema-valid with the new bench fields.
-    const std::filesystem::path vlog = dir / "validate.log";
-    EXPECT_EQ(runCli("ledger --validate " + (dir / "f.jsonl").string(),
-                     vlog),
-              0)
-        << slurp(vlog);
-}
-
-TEST(CampaignCli, FastMemRefusesSupervisedWorkers)
-{
-    ASSERT_FALSE(cliPath.empty());
-    const std::filesystem::path dir = tempDir();
-    const std::filesystem::path log = dir / "refuse.log";
-    const int rc = runCli("campaign --benches hcr --fast-mem"
-                          " --workers 2 --out " +
-                              (dir / "r.json").string(),
-                          log);
-    EXPECT_EQ(rc, 2) << slurp(log);
-    EXPECT_NE(slurp(log).find("incompatible with --workers"),
-              std::string::npos);
-}
-
-TEST(CampaignCli, ExactVsFastBreachExitsFive)
-{
-    ASSERT_FALSE(cliPath.empty());
-    const std::filesystem::path dir = tempDir();
-    const std::filesystem::path limits = dir / "audit-limits.json";
-    // An impossible model-accuracy demand: any measured error breaches.
-    std::ofstream(limits)
-        << "{\"schema\": \"megsim-thresholds-v1\",\n"
-           " \"max_exact_vs_fast_percent\": {\"cycles\": 0.0}}\n";
-
-    const std::filesystem::path log = dir / "breach.log";
-    const int rc = runCli("campaign --benches hcr --fast-mem --out " +
-                              (dir / "b.json").string() + " --check " +
-                              limits.string(),
-                          log, "MEGSIM_FAST_MEM_AUDIT=1"
-                               " MEGSIM_FAST_MEM_CALIB=64"
-                               " MEGSIM_FAST_MEM_PROBE=16");
-    EXPECT_EQ(rc, 5) << slurp(log);
-    EXPECT_NE(slurp(log).find("exact-vs-fast"), std::string::npos);
-}
-
 TEST(CampaignCli, StrictPerfRegressionExitsTen)
 {
     ASSERT_FALSE(cliPath.empty());
@@ -442,7 +378,7 @@ TEST(CampaignCli, StrictPerfRegressionExitsTen)
               std::string::npos);
 }
 
-TEST(CampaignCli, SuiteClusterWritesV3ReportAndValidLedger)
+TEST(CampaignCli, SuiteClusterWritesSuiteFieldsAndValidLedger)
 {
     ASSERT_FALSE(cliPath.empty());
     const std::filesystem::path dir = tempDir();
@@ -457,7 +393,7 @@ TEST(CampaignCli, SuiteClusterWritesV3ReportAndValidLedger)
     ASSERT_EQ(rc, 0) << slurp(log);
 
     const std::string text = slurp(json);
-    EXPECT_NE(text.find("\"schema\": \"megsim-campaign-v3\""),
+    EXPECT_NE(text.find("\"schema\": \"megsim-campaign-v4\""),
               std::string::npos);
     EXPECT_NE(text.find("\"suite_cluster\": true"), std::string::npos);
     EXPECT_NE(text.find("\"borrowed_reps\""), std::string::npos);
@@ -489,14 +425,14 @@ TEST(CampaignCli, SuiteClusterWritesV3ReportAndValidLedger)
                      log, "MEGSIM_SUITE_CLUSTER=1"),
               0)
         << slurp(log);
-    EXPECT_NE(slurp(envJson).find("\"schema\": \"megsim-campaign-v3\""),
+    EXPECT_NE(slurp(envJson).find("\"suite_cluster\": true"),
               std::string::npos);
 }
 
-TEST(CampaignCli, DiffRefusesMixedSchemasWithExitTwo)
+TEST(CampaignCli, DiffRefusesMixedModesWithExitTwo)
 {
-    // A per-bench (v2) and a suite-cluster (v3) report are different
-    // trajectories: --diff must refuse with a schema-mismatch usage
+    // A per-bench and a suite-cluster report are different
+    // trajectories: --diff must refuse with a mode-mismatch usage
     // error, NOT report a content mismatch (exit 6).
     ASSERT_FALSE(cliPath.empty());
     const std::filesystem::path dir = tempDir();
@@ -520,30 +456,7 @@ TEST(CampaignCli, DiffRefusesMixedSchemasWithExitTwo)
                           log);
     EXPECT_EQ(rc, 2) << slurp(log);
     const std::string text = slurp(log);
-    EXPECT_NE(text.find("schema mismatch"), std::string::npos);
-    EXPECT_NE(text.find("megsim-campaign-v2"), std::string::npos);
-    EXPECT_NE(text.find("megsim-campaign-v3"), std::string::npos);
-}
-
-TEST(CampaignCli, StrictRefusesCrossModeComparison)
-{
-    ASSERT_FALSE(cliPath.empty());
-    const std::filesystem::path dir = tempDir();
-    const std::filesystem::path base = dir / "exact-base.json";
-    const std::filesystem::path log = dir / "mode.log";
-    ASSERT_EQ(runCli("perf --benches hcr --frames 2 --out " +
-                         base.string(),
-                     log),
-              0)
-        << slurp(log);
-
-    const std::filesystem::path slog = dir / "cross.log";
-    EXPECT_EQ(runCli("perf --benches hcr --frames 2 --fast-mem"
-                     " --out " +
-                         (dir / "fast-out.json").string() +
-                         " --compare " + base.string() + " --strict",
-                     slog),
-              2)
-        << slurp(slog);
-    EXPECT_NE(slurp(slog).find("mem_mode"), std::string::npos);
+    EXPECT_NE(text.find("mode mismatch"), std::string::npos);
+    EXPECT_NE(text.find("is per-bench"), std::string::npos);
+    EXPECT_NE(text.find("is suite-cluster"), std::string::npos);
 }

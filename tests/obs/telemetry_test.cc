@@ -310,6 +310,20 @@ TEST_F(TelemetryTest, LedgerRoundTripsThroughStrictParser)
     ASSERT_EQ(row.metrics.size(), 1u);
     EXPECT_EQ(row.metrics[0].first, "suite_reduction");
     EXPECT_DOUBLE_EQ(row.metrics[0].second, 88.5);
+
+    // A ledger recorded while the fast-mem model existed still
+    // validates, and its run keeps its own trajectory mode.
+    const std::string legacy =
+        "{\"schema\":\"megsim-run-v1\",\"seq\":0,"
+        "\"event\":\"run_start\",\"t\":0,\"tool\":\"campaign\","
+        "\"threads\":1,\"mem_mode\":\"fast\"}\n"
+        "{\"schema\":\"megsim-run-v1\",\"seq\":1,"
+        "\"event\":\"bench\",\"t\":0,\"alias\":\"hcr\","
+        "\"frames\":6,\"mem_mode\":\"fast\","
+        "\"exact_vs_fast\":{\"cycles\":1.5},\"audited_frames\":1}\n";
+    auto old = RunLedger::parse(legacy);
+    ASSERT_TRUE(old.ok()) << old.error().message;
+    EXPECT_EQ(summarizeLedger("old.jsonl", *old).mode, "fast");
 }
 
 TEST_F(TelemetryTest, LedgerRejectsUnknownField)

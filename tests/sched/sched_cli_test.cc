@@ -11,6 +11,7 @@
 
 #include <sys/wait.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -78,6 +79,30 @@ waitForSocketGone(const std::filesystem::path &socket)
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
 }
 
+/**
+ * Serve-side environment that stalls the first shard: its first
+ * attempt hangs (worker.hang) until the per-shard deadline kills the
+ * worker, and the retry then completes, so the stalled request still
+ * exits 0. The deadline only bounds how long the stall lasts; no
+ * assertion depends on it.
+ */
+const char *const kStallFirstShard =
+    "MEGSIM_FAULTS=worker.hang:shard=0,times=1 "
+    "MEGSIM_SHARD_DEADLINE_MS=3000";
+
+/** Poll @p log until it contains @p needle; false after ~30 s. */
+bool
+waitForLogLine(const std::filesystem::path &log,
+               const std::string &needle)
+{
+    for (int i = 0; i < 600; ++i) {
+        if (slurp(log).find(needle) != std::string::npos)
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    return false;
+}
+
 } // namespace
 
 TEST(SchedCli, BogusPolicyIsAUsageErrorBeforeBinding)
@@ -112,10 +137,10 @@ TEST(SchedCli, QueueFullSubmitExitsWithNine)
     const std::filesystem::path serveLog = dir / "full_serve.log";
     std::filesystem::remove(socket);
 
-    // One-slot queue; shard think time keeps the first request in
-    // flight while the second one knocks.
+    // One-slot queue; the stalled first shard keeps the first request
+    // in flight while the second one knocks.
     const std::string serveCmd =
-        "MEGSIM_FRAME_LIMIT=6 MEGSIM_SHARD_THINK_MS=1500 " +
+        "MEGSIM_FRAME_LIMIT=6 " + std::string(kStallFirstShard) + " " +
         cacheEnv("full_cache") + " " + cliPath + " serve --socket " +
         socket.string() +
         " --max-requests 2 --max-inflight 1 --workers 1 > " +
@@ -126,21 +151,31 @@ TEST(SchedCli, QueueFullSubmitExitsWithNine)
 
     const std::filesystem::path slowLog = dir / "full_slow.log";
     int slowRc = -1;
+    std::atomic<bool> slowReturned{false};
     std::thread slow([&] {
         slowRc = runCli("", "submit --socket " + socket.string() +
                                 " --benches hcr",
                         slowLog);
+        slowReturned = true;
     });
-    // Let the first request get admitted, then hit the full queue.
-    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    // The first request is admitted once its shard stalls; only then
+    // does the second one hit the full queue.
+    if (!waitForLogLine(serveLog, "fault worker.hang")) {
+        slow.join();
+        FAIL() << "first shard never stalled\n" << slurp(serveLog);
+    }
     const std::filesystem::path rejectedLog = dir / "full_rej.log";
     const int rejectedRc =
         runCli("", "submit --socket " + socket.string() +
                        " --benches jjo --tenant late",
                rejectedLog);
+    const bool rejectedWhileInFlight = !slowReturned;
     slow.join();
 
     EXPECT_EQ(rejectedRc, 9) << slurp(rejectedLog) << slurp(serveLog);
+    EXPECT_TRUE(rejectedWhileInFlight)
+        << "the rejection must arrive while the first request is "
+           "still in flight";
     EXPECT_NE(slurp(rejectedLog).find("rejected"), std::string::npos);
     EXPECT_NE(slurp(rejectedLog).find("queue full"),
               std::string::npos);
@@ -169,7 +204,7 @@ TEST(SchedCli, DrainingServiceRefusesCleanlyInsteadOfHanging)
     std::filesystem::remove(socket);
 
     const std::string serveCmd =
-        "MEGSIM_FRAME_LIMIT=6 MEGSIM_SHARD_THINK_MS=1500 " +
+        "MEGSIM_FRAME_LIMIT=6 " + std::string(kStallFirstShard) + " " +
         cacheEnv("drain_cache") + " " + cliPath + " serve --socket " +
         socket.string() +
         " --max-requests 1 --workers 1 --policy fifo > " +
@@ -180,32 +215,36 @@ TEST(SchedCli, DrainingServiceRefusesCleanlyInsteadOfHanging)
 
     const std::filesystem::path slowLog = dir / "drain_slow.log";
     int slowRc = -1;
+    std::atomic<bool> slowReturned{false};
     std::thread slow([&] {
         slowRc = runCli("", "submit --socket " + socket.string() +
                                 " --benches hcr",
                         slowLog);
+        slowReturned = true;
     });
-    // The admission budget is now spent; a late request must get a
-    // prompt, clean refusal — not a hung socket.
-    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    // Once the first shard stalls, the admission budget is spent; a
+    // late request must get a clean refusal — not a hung socket.
+    if (!waitForLogLine(serveLog, "fault worker.hang")) {
+        slow.join();
+        FAIL() << "first shard never stalled\n" << slurp(serveLog);
+    }
     const std::filesystem::path lateLog = dir / "drain_late.log";
-    const auto before = std::chrono::steady_clock::now();
     const int lateRc = runCli("", "submit --socket " +
                                       socket.string() +
                                       " --benches jjo",
                               lateLog);
-    const auto waited = std::chrono::steady_clock::now() - before;
+    const bool refusedWhileInFlight = !slowReturned;
     slow.join();
 
     EXPECT_EQ(lateRc, 1) << slurp(lateLog) << slurp(serveLog);
     EXPECT_NE(slurp(lateLog).find("service shutting down"),
               std::string::npos)
         << slurp(lateLog);
-    // "Prompt" means well inside the slow request's service time.
-    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
-                  waited)
-                  .count(),
-              1500);
+    // "Prompt" means before the draining service finished the
+    // stalled request it was still serving.
+    EXPECT_TRUE(refusedWhileInFlight)
+        << "the refusal must arrive while the stalled request is "
+           "still in flight";
     EXPECT_EQ(slowRc, 0) << slurp(slowLog);
 
     waitForSocketGone(socket);
