@@ -102,10 +102,19 @@ kmeans(const FeatureMatrix &features, std::size_t k,
     // than twice its current minimum from the seed holding that
     // minimum: by the triangle inequality the new distance cannot be
     // smaller, so minD2 is exactly what a full update would leave.
+    //
+    // Every seed, the last included, updates nearest[f], so seeding
+    // also labels pass 0: the seeds are visited in ascending order and
+    // replaced only on a strictly smaller sqDist, which is the
+    // lowest-index argmin a full scan of the seeds would take.
+    // second[f] collects a lower bound on the distance to every seed
+    // but nearest[f]: a computed distance, the old minimum when a
+    // frame moves, or the triangle bound of a skipped seed.
     exec::Pool &pool = exec::Pool::global();
     sim::Rng rng(config.seed);
     std::vector<double> minD2(n, std::numeric_limits<double>::max());
     std::vector<double> minD(n);
+    std::vector<double> second(n, std::numeric_limits<double>::max());
     std::vector<std::size_t> nearest(n, 0);
     std::size_t first = rng.below(n);
     for (std::size_t c = 0; c < dims; ++c)
@@ -143,22 +152,28 @@ kmeans(const FeatureMatrix &features, std::size_t k,
         }
         for (std::size_t c = 0; c < dims; ++c)
             centroids[cl * dims + c] = features.at(pick, c);
-        if (cl + 1 == k)
-            break; // the last seed is never drawn against
 
         for (std::size_t s = 0; s < cl; ++s)
             seedDist[s] = rowDist(centroids, cl, centroids, s, dims);
         forEachFrame(pool, n, [&](std::size_t f, std::size_t) {
-            if (seedDist[nearest[f]] > 2.0 * minD[f] + slack)
+            const double gap = seedDist[nearest[f]];
+            if (gap > 2.0 * minD[f] + slack) {
+                second[f] = std::min(second[f], gap - minD[f]);
                 return;
+            }
             const double d2 = sqDist(features, f, centroids, cl, dims);
             if (d2 < minD2[f]) {
+                second[f] = std::min(second[f], minD[f]);
                 minD2[f] = d2;
                 minD[f] = std::sqrt(d2);
                 nearest[f] = cl;
+            } else {
+                second[f] = std::min(second[f], std::sqrt(d2));
             }
         });
     }
+    std::vector<double>().swap(minD2);
+    std::vector<double>().swap(seedDist);
 
     // Lloyd iterations with Hamerly bounds. Each frame keeps an upper
     // bound on the distance to its own centroid and a lower bound on
@@ -172,36 +187,123 @@ kmeans(const FeatureMatrix &features, std::size_t k,
     // at any thread count. The centroid update stays serial: its
     // floating-point sums are order-sensitive, and keeping them in
     // frame order is what makes centroids bit-identical.
-    std::vector<double> upper(n);
-    std::vector<double> lower(n);
+    //
+    // Pass 0 takes its labels and bounds from the seeding. Each later
+    // pass flags the clusters a frame left or joined, and the update
+    // rebuilds only those: an unflagged cluster has the same members,
+    // summed in the same order, so its centroid would come out the
+    // same bytes and its drift exactly 0. Empty clusters are re-drawn
+    // every pass, in cluster order, so the RNG sequence is unchanged.
+    if (config.maxIterations > 0)
+        labels = std::move(nearest); // pass 0's assignment
+    std::vector<double> upper = std::move(minD);
+    std::vector<double> lower = std::move(second);
     std::vector<double> half(k);
     std::vector<double> gaps(k * k, 0.0); // centroid-centroid distances
     std::vector<std::size_t> nearby(k * k); // row a: by gap from a
     for (std::size_t a = 0; a < k; ++a)
         std::iota(nearby.begin() + a * k, nearby.begin() + (a + 1) * k,
                   std::size_t(0));
-    std::vector<double> drift(k, 0.0);
+    std::vector<double> drift(k);
     std::vector<double> previous;
     std::size_t farthest = 0;  // centroid with the largest drift
     double maxDrift = 0.0;     // its drift
     double otherDrift = 0.0;   // largest drift among the others
-    std::vector<unsigned char> workerChanged(pool.workers(), 0);
-    for (std::size_t iter = 0; iter < config.maxIterations; ++iter) {
-        bool changed = iter == 0;
-        std::fill(workerChanged.begin(), workerChanged.end(), 0);
+    std::vector<unsigned char> moved(k, 1); // seeds are not means yet
+    std::vector<unsigned char> workerMoved(pool.workers() * k);
+    for (std::size_t pass = 0; pass < config.maxIterations; ++pass) {
+        previous = centroids;
+        for (std::size_t cl = 0; cl < k; ++cl) {
+            if (!moved[cl])
+                continue;
+            result.sizes[cl] = 0;
+            std::fill_n(&centroids[cl * dims], dims, 0.0);
+        }
+        for (std::size_t f = 0; f < n; ++f) {
+            const std::size_t cl = labels[f];
+            if (!moved[cl])
+                continue;
+            ++result.sizes[cl];
+            for (std::size_t c = 0; c < dims; ++c)
+                centroids[cl * dims + c] += features.at(f, c);
+        }
+        for (std::size_t cl = 0; cl < k; ++cl) {
+            if (result.sizes[cl] == 0) {
+                // Re-seed an emptied cluster on a random frame.
+                const std::size_t f = rng.below(n);
+                for (std::size_t c = 0; c < dims; ++c)
+                    centroids[cl * dims + c] = features.at(f, c);
+                moved[cl] = 1;
+                continue;
+            }
+            if (!moved[cl])
+                continue;
+            const double inv =
+                1.0 / static_cast<double>(result.sizes[cl]);
+            for (std::size_t c = 0; c < dims; ++c)
+                centroids[cl * dims + c] *= inv;
+        }
+        if (pass + 1 == config.maxIterations)
+            break;
+
+        // How far each centroid moved loosens the bounds; half the
+        // gap to the nearest other centroid is the free-pass radius.
+        maxDrift = 0.0;
+        otherDrift = 0.0;
+        farthest = 0;
+        for (std::size_t cl = 0; cl < k; ++cl) {
+            drift[cl] = moved[cl]
+                            ? rowDist(previous, cl, centroids, cl, dims)
+                            : 0.0;
+            if (drift[cl] > maxDrift) {
+                otherDrift = maxDrift;
+                maxDrift = drift[cl];
+                farthest = cl;
+            } else if (drift[cl] > otherDrift) {
+                otherDrift = drift[cl];
+            }
+        }
+        std::fill(half.begin(), half.end(),
+                  std::numeric_limits<double>::max());
+        for (std::size_t a = 0; a < k; ++a) {
+            for (std::size_t b = a + 1; b < k; ++b) {
+                if (moved[a] || moved[b]) {
+                    const double gap =
+                        rowDist(centroids, a, centroids, b, dims);
+                    gaps[a * k + b] = gap;
+                    gaps[b * k + a] = gap;
+                }
+                half[a] = std::min(half[a], 0.5 * gaps[a * k + b]);
+                half[b] = std::min(half[b], 0.5 * gaps[a * k + b]);
+            }
+        }
+        // Re-sort each row by gap. Centroids move little between
+        // passes, so the rows are nearly sorted already and an
+        // insertion sort costs about one compare per entry.
+        for (std::size_t a = 0; a < k; ++a) {
+            const double *gap = &gaps[a * k];
+            std::size_t *row = &nearby[a * k];
+            for (std::size_t i = 1; i < k; ++i) {
+                const std::size_t cl = row[i];
+                std::size_t j = i;
+                for (; j > 0 && gap[cl] < gap[row[j - 1]]; --j)
+                    row[j] = row[j - 1];
+                row[j] = cl;
+            }
+        }
+
+        // The next pass's assignment.
+        std::fill(workerMoved.begin(), workerMoved.end(), 0);
         forEachFrame(pool, n, [&](std::size_t f, std::size_t w) {
             const std::size_t own = labels[f];
-            if (iter > 0) {
-                upper[f] += drift[own];
-                lower[f] -= own == farthest ? otherDrift : maxDrift;
-                const double bound = std::max(half[own], lower[f]);
-                if (upper[f] + slack < bound)
-                    return;
-                upper[f] =
-                    std::sqrt(sqDist(features, f, centroids, own, dims));
-                if (upper[f] + slack < bound)
-                    return;
-            }
+            upper[f] += drift[own];
+            lower[f] -= own == farthest ? otherDrift : maxDrift;
+            const double bound = std::max(half[own], lower[f]);
+            if (upper[f] + slack < bound)
+                return;
+            upper[f] = std::sqrt(sqDist(features, f, centroids, own, dims));
+            if (upper[f] + slack < bound)
+                return;
             // Elkan's test trims the scan: a centroid farther than
             // twice upper[f] (now exact) from the own one cannot win,
             // and that gap minus upper[f] still bounds it from below.
@@ -210,9 +312,7 @@ kmeans(const FeatureMatrix &features, std::size_t k,
             // below still yields the lowest-index argmin.
             const std::size_t *order = &nearby[own * k];
             const double *gap = &gaps[own * k];
-            const double reach = iter > 0
-                                     ? 2.0 * upper[f] + slack
-                                     : std::numeric_limits<double>::max();
+            const double reach = 2.0 * upper[f] + slack;
             std::size_t best = 0;
             double bestD2 = std::numeric_limits<double>::max();
             double secondD2 = std::numeric_limits<double>::max();
@@ -237,78 +337,19 @@ kmeans(const FeatureMatrix &features, std::size_t k,
             lower[f] = std::min(std::sqrt(secondD2), skipped);
             if (own != best) {
                 labels[f] = best;
-                workerChanged[w] = 1;
+                workerMoved[w * k + own] = 1;
+                workerMoved[w * k + best] = 1;
             }
         });
-        for (unsigned char c : workerChanged)
-            changed = changed || c != 0;
+        bool changed = false;
+        for (std::size_t cl = 0; cl < k; ++cl) {
+            moved[cl] = 0;
+            for (std::size_t w = 0; w < pool.workers(); ++w)
+                moved[cl] |= workerMoved[w * k + cl];
+            changed = changed || moved[cl] != 0;
+        }
         if (!changed)
             break;
-
-        previous = centroids;
-        std::fill(centroids.begin(), centroids.end(), 0.0);
-        std::fill(result.sizes.begin(), result.sizes.end(), 0);
-        for (std::size_t f = 0; f < n; ++f) {
-            const std::size_t cl = labels[f];
-            ++result.sizes[cl];
-            for (std::size_t c = 0; c < dims; ++c)
-                centroids[cl * dims + c] += features.at(f, c);
-        }
-        for (std::size_t cl = 0; cl < k; ++cl) {
-            if (result.sizes[cl] == 0) {
-                // Re-seed an emptied cluster on a random frame.
-                const std::size_t f = rng.below(n);
-                for (std::size_t c = 0; c < dims; ++c)
-                    centroids[cl * dims + c] = features.at(f, c);
-                continue;
-            }
-            const double inv =
-                1.0 / static_cast<double>(result.sizes[cl]);
-            for (std::size_t c = 0; c < dims; ++c)
-                centroids[cl * dims + c] *= inv;
-        }
-
-        // How far each centroid moved loosens the bounds; half the
-        // gap to the nearest other centroid is the free-pass radius.
-        maxDrift = 0.0;
-        otherDrift = 0.0;
-        farthest = 0;
-        for (std::size_t cl = 0; cl < k; ++cl) {
-            drift[cl] = rowDist(previous, cl, centroids, cl, dims);
-            if (drift[cl] > maxDrift) {
-                otherDrift = maxDrift;
-                maxDrift = drift[cl];
-                farthest = cl;
-            } else if (drift[cl] > otherDrift) {
-                otherDrift = drift[cl];
-            }
-        }
-        std::fill(half.begin(), half.end(),
-                  std::numeric_limits<double>::max());
-        for (std::size_t a = 0; a < k; ++a) {
-            for (std::size_t b = a + 1; b < k; ++b) {
-                const double gap =
-                    rowDist(centroids, a, centroids, b, dims);
-                gaps[a * k + b] = gap;
-                gaps[b * k + a] = gap;
-                half[a] = std::min(half[a], 0.5 * gap);
-                half[b] = std::min(half[b], 0.5 * gap);
-            }
-        }
-        // Re-sort each row by gap. Centroids move little between
-        // passes, so the rows are nearly sorted already and an
-        // insertion sort costs about one compare per entry.
-        for (std::size_t a = 0; a < k; ++a) {
-            const double *gap = &gaps[a * k];
-            std::size_t *row = &nearby[a * k];
-            for (std::size_t i = 1; i < k; ++i) {
-                const std::size_t cl = row[i];
-                std::size_t j = i;
-                for (; j > 0 && gap[cl] < gap[row[j - 1]]; --j)
-                    row[j] = row[j - 1];
-                row[j] = cl;
-            }
-        }
     }
 
     // Final bookkeeping: sizes and inertia for the final labels.

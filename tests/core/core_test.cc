@@ -43,6 +43,12 @@ struct ReferencePaths
     std::size_t iterations = 0; // assignment passes
     std::size_t reseeds = 0;    // emptied clusters re-seeded
     bool converged = false;     // stopped before maxIterations
+    /** Most consecutive passes one cluster was re-seeded in. */
+    std::size_t longestEmptyRun = 0;
+    /** Frames pass 0 gave the last k-means++ seed (k >= 2). */
+    std::size_t lastSeedFrames = 0;
+    /** A pass after the second moved exactly one frame. */
+    bool lateSingleMove = false;
 };
 
 double
@@ -113,9 +119,11 @@ referenceKmeans(const FeatureMatrix &m, std::size_t k,
             result.centroids[cl * dims + c] = m.at(pick, c);
     }
 
+    std::vector<std::size_t> emptyRun(k, 0);
     for (std::size_t iter = 0; iter < config.maxIterations; ++iter) {
         ++paths->iterations;
         bool changed = iter == 0;
+        std::size_t moves = 0;
         for (std::size_t f = 0; f < n; ++f) {
             std::size_t best = 0;
             double bestD2 = std::numeric_limits<double>::max();
@@ -130,8 +138,13 @@ referenceKmeans(const FeatureMatrix &m, std::size_t k,
             if (result.labels[f] != best) {
                 result.labels[f] = best;
                 changed = true;
+                ++moves;
             }
+            if (iter == 0 && k > 1 && best == k - 1)
+                ++paths->lastSeedFrames;
         }
+        if (iter >= 2 && moves == 1)
+            paths->lateSingleMove = true;
         if (!changed) {
             paths->converged = true;
             break;
@@ -147,6 +160,9 @@ referenceKmeans(const FeatureMatrix &m, std::size_t k,
                 result.centroids[cl * dims + c] += m.at(f, c);
         }
         for (std::size_t cl = 0; cl < k; ++cl) {
+            emptyRun[cl] = result.sizes[cl] == 0 ? emptyRun[cl] + 1 : 0;
+            paths->longestEmptyRun =
+                std::max(paths->longestEmptyRun, emptyRun[cl]);
             if (result.sizes[cl] == 0) {
                 ++paths->reseeds;
                 const std::size_t f = rng.below(n);
@@ -468,6 +484,62 @@ TEST_P(KMeansExactness, IterationCapStopsBothLoopsAlike)
     EXPECT_FALSE(capped.converged) << "the cap never bit";
 }
 
+TEST_P(KMeansExactness, ClusterStaysEmptyOverConsecutivePasses)
+{
+    // Two values, seven copies each, k = 4: seeding runs out of
+    // distinct frames and two seeds come up empty. The mean of seven
+    // copies of x need not round back to x, so a cluster re-drawn
+    // onto a copy takes those frames from their own centroid, which
+    // empties in turn; a cluster re-drawn onto the other value loses
+    // the tie and stays empty while the loop goes on. Every pass then
+    // re-draws a cluster whose members did not change.
+    FeatureMatrix m(14, 0, 0);
+    sim::Rng rng(2);
+    for (std::size_t v = 0; v < 2; ++v) {
+        const double x = rng.uniform();
+        for (std::size_t i = 0; i < 7; ++i)
+            m.at(v * 7 + i, 0) = x;
+    }
+    std::size_t longest = 0;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed)
+        longest = std::max(
+            longest, expectMatchesReference(m, 4, KMeansConfig{64, seed})
+                         .longestEmptyRun);
+    EXPECT_GE(longest, 2u) << "no cluster stayed empty for two passes";
+}
+
+TEST_P(KMeansExactness, LastSeedLabelsPassZero)
+{
+    // Pass 0 takes its labels from the seeding, so the last seed must
+    // update the nearest seed of every frame it captures.
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const FeatureMatrix blobs = blobMatrix(40, 4, 2, seed);
+        EXPECT_GT(expectMatchesReference(blobs, 2, KMeansConfig{64, seed})
+                      .lastSeedFrames,
+                  0u)
+            << "k=2 seed=" << seed;
+        const FeatureMatrix few = blobMatrix(12, 4, 2, seed);
+        EXPECT_GT(expectMatchesReference(few, 12, KMeansConfig{64, seed})
+                      .lastSeedFrames,
+                  0u)
+            << "k=n seed=" << seed;
+    }
+}
+
+TEST_P(KMeansExactness, LatePassMovesOneFrame)
+{
+    // A late pass in which one frame changes cluster: the update
+    // rebuilds two centroids and keeps every other one as it was.
+    const FeatureMatrix m = blobMatrix(200, 8, 6, 1);
+    bool single = false;
+    for (std::size_t k : {9, 16})
+        for (std::uint64_t seed : {1, 3})
+            single = expectMatchesReference(m, k, KMeansConfig{64, seed})
+                         .lateSingleMove ||
+                     single;
+    EXPECT_TRUE(single) << "no late pass moved exactly one frame";
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, KMeansExactness,
                          ::testing::Values(std::size_t(1),
                                            std::size_t(4)));
@@ -506,6 +578,107 @@ TEST(Cluster, OrderedSweepStopsAtTheSameKAtAnyThreadCount)
             << threads << " threads";
         EXPECT_EQ(parallel.chosen().centroids, serial.chosen().centroids)
             << threads << " threads";
+    }
+    exec::Pool::setConfiguredThreads(saved);
+}
+
+/**
+ * selectClustering() as a plain serial loop over referenceKmeans():
+ * the same per-(k, restart) seeds, best of restarts, patience and
+ * spread threshold, then the chosen k re-run.
+ */
+SelectionResult
+referenceSweep(const FeatureMatrix &m, const SelectorConfig &config)
+{
+    SelectionResult sel;
+    const std::size_t maxK = std::min(
+        std::max<std::size_t>(1, config.maxClusters), m.rows());
+    const std::size_t restarts =
+        std::max<std::size_t>(1, config.restarts);
+    auto kmeansConfig = [&](std::size_t k, std::size_t restart) {
+        KMeansConfig kc = config.kmeans;
+        kc.seed = sim::hashMix(config.kmeans.seed, k, restart);
+        return kc;
+    };
+    std::vector<std::size_t> bestRestart;
+    double bestBic = -std::numeric_limits<double>::max();
+    std::size_t decreases = 0;
+    for (std::size_t k = 1; k <= maxK; ++k) {
+        double stepBic = -std::numeric_limits<double>::max();
+        std::size_t stepRestart = 0;
+        for (std::size_t r = 0; r < restarts; ++r) {
+            ReferencePaths paths;
+            const double bic = bicScore(
+                m, referenceKmeans(m, k, kmeansConfig(k, r), &paths));
+            if (bic > stepBic) {
+                stepBic = bic;
+                stepRestart = r;
+            }
+        }
+        sel.trace.push_back(SelectionStep{stepBic});
+        bestRestart.push_back(stepRestart);
+        if (stepBic > bestBic) {
+            bestBic = stepBic;
+            decreases = 0;
+        } else if (++decreases > config.patience) {
+            break;
+        }
+    }
+    double minBic = sel.trace.front().bic;
+    double maxBic = sel.trace.front().bic;
+    for (const SelectionStep &step : sel.trace) {
+        minBic = std::min(minBic, step.bic);
+        maxBic = std::max(maxBic, step.bic);
+    }
+    const double cut = minBic + config.threshold * (maxBic - minBic);
+    sel.chosenIndex = sel.trace.size() - 1;
+    for (std::size_t i = 0; i < sel.trace.size(); ++i) {
+        if (sel.trace[i].bic >= cut) {
+            sel.chosenIndex = i;
+            break;
+        }
+    }
+    const std::size_t k = sel.chosenIndex + 1;
+    ReferencePaths paths;
+    sel.clustering = referenceKmeans(
+        m, k, kmeansConfig(k, bestRestart[sel.chosenIndex]), &paths);
+    return sel;
+}
+
+TEST(Cluster, SweepMatchesReferenceSweep)
+{
+    // reselect-warm's shape: n = 500 and every k up to the sweep's
+    // cap of 64, three restarts each (this input never trips patience).
+    const FeatureMatrix m = blobMatrix(500, 10, 48, 21);
+    SelectorConfig config;
+    config.maxClusters = 64;
+    config.kmeans.seed = 0x4d4547;
+    const SelectionResult want = referenceSweep(m, config);
+    ASSERT_EQ(want.trace.size(), 64u) << "patience ended the sweep early";
+
+    const std::size_t saved = exec::Pool::configuredThreads();
+    for (std::size_t threads : {1, 4}) {
+        exec::Pool::setConfiguredThreads(threads);
+        const SelectionResult got = selectClustering(m, config);
+        ASSERT_EQ(got.trace.size(), want.trace.size())
+            << threads << " threads";
+        for (std::size_t i = 0; i < want.trace.size(); ++i)
+            EXPECT_EQ(std::memcmp(&got.trace[i].bic, &want.trace[i].bic,
+                                  sizeof(double)),
+                      0)
+                << threads << " threads, k=" << i + 1;
+        EXPECT_EQ(got.chosenIndex, want.chosenIndex)
+            << threads << " threads";
+        EXPECT_EQ(got.chosen().labels, want.chosen().labels)
+            << threads << " threads";
+        ASSERT_EQ(got.chosen().centroids.size(),
+                  want.chosen().centroids.size());
+        EXPECT_EQ(std::memcmp(got.chosen().centroids.data(),
+                              want.chosen().centroids.data(),
+                              want.chosen().centroids.size() *
+                                  sizeof(double)),
+                  0)
+            << threads << " threads: centroids differ in some bit";
     }
     exec::Pool::setConfiguredThreads(saved);
 }
