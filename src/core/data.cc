@@ -1,7 +1,6 @@
 #include "core/megsim.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 
 #include "exec/pool.hh"
@@ -27,14 +26,6 @@ namespace
 
 /** Cache/checkpoint artifact format generation. */
 constexpr const char *kCacheVersion = "v4";
-
-/** MEGSIM_CHECKPOINT=0 disables ground-truth checkpointing. */
-bool
-checkpointingEnabled()
-{
-    const char *env = std::getenv("MEGSIM_CHECKPOINT");
-    return !env || std::string(env) != "0";
-}
 
 void
 createCacheDir(const std::string &dir)
@@ -106,9 +97,20 @@ BenchmarkData::BenchmarkData(const gfx::SceneTrace &scene,
                              const gpusim::GpuConfig &config,
                              std::string cacheDirectory)
     : scene_(&scene), config_(config),
-      cacheDir_(std::move(cacheDirectory)),
-      key_(sim::hashMix(scene.contentHash(), config.fingerprint()))
+      cacheDir_(std::move(cacheDirectory))
 {
+}
+
+std::uint64_t
+BenchmarkData::cacheKey() const
+{
+    // Hashing the scene costs tens of milliseconds on a full-length
+    // benchmark, so it waits for the first cache, checkpoint or caller
+    // that needs the key.
+    std::call_once(keyOnce_, [this] {
+        key_ = sim::hashMix(scene_->contentHash(), config_.fingerprint());
+    });
+    return key_;
 }
 
 std::string
@@ -122,7 +124,7 @@ BenchmarkData::checkpointStem() const
 {
     char keyHex[24];
     std::snprintf(keyHex, sizeof(keyHex), "%016llx",
-                  static_cast<unsigned long long>(key_));
+                  static_cast<unsigned long long>(cacheKey()));
     const std::string name =
         scene_->name.empty() ? "scene" : scene_->name;
     return cacheDir_ + "/" + name + "_" +
@@ -137,7 +139,7 @@ BenchmarkData::loadActivityCache()
     obs::TimelineRecorder::Span span("cache.load", 0,
                                      scene_->name + ":activity");
     auto loaded = resilience::readCsvArtifact(cachePath("activity"),
-                                              key_, "activity");
+                                              cacheKey(), "activity");
     if (!loaded.ok()) {
         if (loaded.error().code == resilience::Errc::NotFound)
             return CacheProbe::Missing;
@@ -169,7 +171,7 @@ BenchmarkData::storeActivityCache() const
     for (const gpusim::FrameActivity &act : activities_)
         table.rows.push_back(activityToRow(act));
     return resilience::writeCsvArtifact(cachePath("activity"), table,
-                                        key_, "activity");
+                                        cacheKey(), "activity");
 }
 
 CacheProbe
@@ -179,7 +181,8 @@ BenchmarkData::loadStatsCache()
     obs::TimelineRecorder::Span span("cache.load", 0,
                                      scene_->name + ":stats");
     auto loaded =
-        resilience::readCsvArtifact(cachePath("stats"), key_, "stats");
+        resilience::readCsvArtifact(cachePath("stats"), cacheKey(),
+                                    "stats");
     if (!loaded.ok()) {
         if (loaded.error().code == resilience::Errc::NotFound)
             return CacheProbe::Missing;
@@ -229,7 +232,7 @@ BenchmarkData::storeStatsCache() const
     for (const gpusim::FrameStats &s : stats_)
         table.rows.push_back(s.toCsvRow());
     return resilience::writeCsvArtifact(cachePath("stats"), table,
-                                        key_, "stats");
+                                        cacheKey(), "stats");
 }
 
 resilience::Expected<void>
@@ -362,10 +365,10 @@ GroundTruthPass::GroundTruthPass(BenchmarkData &data,
     const std::size_t fs = data.scene_->numFragmentShaders();
     stats_.reserve(total_);
     acts_.reserve(total_);
-    if (!data.cacheDir_.empty() && checkpointingEnabled()) {
+    if (!data.cacheDir_.empty()) {
         createCacheDir(data.cacheDir_);
         ckpt_ = std::make_unique<resilience::Checkpoint>(
-            data.checkpointStem(), data.key_, total_,
+            data.checkpointStem(), data.cacheKey(), total_,
             gpusim::FrameStats::csvHeader().size(), 4 + vs + fs);
         start_ = ckpt_->resume();
         for (std::size_t f = 0; f < start_; ++f) {
@@ -422,6 +425,7 @@ GroundTruthPass::produce(std::size_t i, std::size_t w)
 void
 GroundTruthPass::commit(std::size_t i, GroundTruthFrame &&frame)
 {
+    crossCheck(start_ + i, frame);
     stats_.push_back(std::move(frame.stats));
     acts_.push_back(std::move(frame.activity));
     if (ckpt_) {
@@ -434,6 +438,42 @@ GroundTruthPass::commit(std::size_t i, GroundTruthFrame &&frame)
                                                             i);
     heartbeat_->tick(stats_.size());
     ++committed_;
+}
+
+void
+GroundTruthPass::crossCheck(std::size_t f, const GroundTruthFrame &frame)
+{
+    // The features MEGsim clusters on (shader invocations and
+    // primitives) must be what the timing model executed; both sides
+    // come out of the same simulation, so any difference is a bug.
+    const gpusim::FrameStats &s = frame.stats;
+    const gpusim::FrameActivity &a = frame.activity;
+    std::uint64_t fsSum = 0, vsSum = 0;
+    for (std::uint64_t v : a.fsCounts)
+        fsSum += v;
+    for (std::uint64_t v : a.vsCounts)
+        vsSum += v;
+    if (s.fsInvocations == a.fragmentsShaded &&
+        a.fragmentsShaded == fsSum &&
+        s.vsInvocations == a.verticesShaded &&
+        a.verticesShaded == vsSum && s.primitives == a.primitives)
+        return;
+    ++obs::processRegistry().scalar(
+        "megsim.ground_truth.crosscheck_mismatches",
+        "ground-truth frames whose activity disagrees with the timing "
+        "stats");
+    sim::warn("'%s' frame %zu: activity (fs %llu/%llu, vs %llu/%llu, "
+              "prims %llu) disagrees with timing (fs %llu, vs %llu, "
+              "prims %llu)",
+              data_->scene_->name.c_str(), f,
+              static_cast<unsigned long long>(a.fragmentsShaded),
+              static_cast<unsigned long long>(fsSum),
+              static_cast<unsigned long long>(a.verticesShaded),
+              static_cast<unsigned long long>(vsSum),
+              static_cast<unsigned long long>(a.primitives),
+              static_cast<unsigned long long>(s.fsInvocations),
+              static_cast<unsigned long long>(s.vsInvocations),
+              static_cast<unsigned long long>(s.primitives));
 }
 
 void

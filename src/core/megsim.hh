@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -434,8 +435,12 @@ class BenchmarkData
      */
     std::string cachePath(const std::string &kind) const;
 
-    /** Scene/config fingerprint keying caches and checkpoints. */
-    std::uint64_t cacheKey() const { return key_; }
+    /**
+     * Scene/config fingerprint keying caches and checkpoints. Computed
+     * on first use (thread-safe), so a BenchmarkData without a cache
+     * directory never hashes its scene unless asked.
+     */
+    std::uint64_t cacheKey() const;
 
     /**
      * Attempt to satisfy both passes from the disk caches without
@@ -478,7 +483,8 @@ class BenchmarkData
     const gfx::SceneTrace *scene_;
     gpusim::GpuConfig config_;
     std::string cacheDir_;
-    std::uint64_t key_ = 0;
+    mutable std::once_flag keyOnce_;
+    mutable std::uint64_t key_ = 0;
     std::vector<gpusim::FrameActivity> activities_;
     std::vector<gpusim::FrameStats> stats_;
     bool haveActivities_ = false;
@@ -526,7 +532,13 @@ class GroundTruthPass
     resilience::Expected<GroundTruthFrame>
     produce(std::size_t i, std::size_t w);
 
-    /** Journal local frame @p i; caller thread, in order. */
+    /**
+     * Journal local frame @p i; caller thread, in order. The frame's
+     * activity is first checked against its timing stats (fs/vs
+     * invocations, primitives); a mismatch counts under
+     * megsim.ground_truth.crosscheck_mismatches and warns, and the
+     * frame is still committed.
+     */
     void commit(std::size_t i, GroundTruthFrame &&frame);
 
     /**
@@ -536,6 +548,8 @@ class GroundTruthPass
     void finish();
 
   private:
+    void crossCheck(std::size_t f, const GroundTruthFrame &frame);
+
     BenchmarkData *data_;
     std::size_t total_ = 0;
     std::size_t start_ = 0;

@@ -157,6 +157,14 @@ lessEqualBits(Lanes4 a, Lanes4 b)
     return static_cast<unsigned>(_mm_movemask_ps(_mm_cmple_ps(a.v, b.v)));
 }
 
+/** Bit s set where !(a[s] > b[s]) (set when either is NaN). */
+inline unsigned
+notGreaterBits(Lanes4 a, Lanes4 b)
+{
+    return static_cast<unsigned>(
+        _mm_movemask_ps(_mm_cmpngt_ps(a.v, b.v)));
+}
+
 /** Lane s of @p a where bit s of @p bits is set, else lane s of @p b. */
 inline Lanes4
 select4(unsigned bits, Lanes4 a, Lanes4 b)
@@ -221,6 +229,15 @@ lessEqualBits(Lanes4 a, Lanes4 b)
     return bits;
 }
 
+inline unsigned
+notGreaterBits(Lanes4 a, Lanes4 b)
+{
+    unsigned bits = 0;
+    for (int s = 0; s < 4; ++s)
+        bits |= !(a.v[s] > b.v[s]) ? 1u << s : 0u;
+    return bits;
+}
+
 inline Lanes4
 select4(unsigned bits, Lanes4 a, Lanes4 b)
 {
@@ -251,8 +268,9 @@ struct QuadEdges
  * quad with at least one covered sample. (x, y) is the quad's
  * top-left pixel (even coordinates) and bit s of the 4-bit @p mask is
  * a covered sample inside @p bounds. This is the single edge test of
- * every rasterizing model: the timing and IMR models through
- * rasterizeSetupInTile(), the functional pass directly.
+ * every rasterizing model: the IMR model through
+ * rasterizeSetupInTile(), the timing model and the functional pass
+ * directly, each with a fused per-quad body.
  */
 template <typename Visit>
 void

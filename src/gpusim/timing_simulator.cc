@@ -73,13 +73,17 @@ TimingSimulator::TimingSimulator(const GpuConfig &config,
     fragmentProcFree_.resize(
         std::max(1u, config.numFragmentProcessors));
 
-    // Epoch 0 is never used for a tile, so zero-initialized stamps
-    // read as "stale" (depth 1.0f, no owner) from the first frame on.
-    tileZ_.assign(static_cast<std::size_t>(config.tileWidth) *
-                      config.tileHeight,
-                  TileDepthEntry{1.0f, 0});
-    tileOwner_.resize(tileZ_.size());
-    tileUv_.resize(tileZ_.size());
+    // A tile's pixels span at most ceil(w / 2) x ceil(h / 2) quads,
+    // also when an odd tile size puts its first pixel mid-quad. Epoch
+    // 0 is never used for a tile, so zero-initialized stamps read as
+    // "stale" (depth 1.0f, no owner) from the first frame on.
+    tileQuadsPerRow_ = (config.tileWidth + 1) / 2;
+    const std::size_t tileQuads =
+        tileQuadsPerRow_ * ((config.tileHeight + 1) / 2);
+    tileZ_.assign(4 * tileQuads, 1.0f);
+    tileStamp_.assign(tileQuads, 0);
+    tileOwner_.resize(4 * tileQuads);
+    tileUv_.resize(4 * tileQuads);
 
     obs::StatsGroup geom = registry_.group("gpu.geometry");
     vsInvocations_ = &geom.scalar("vs_invocations",
@@ -392,15 +396,17 @@ TimingSimulator::simulate(const GeometryIR &ir, FrameActivity *activity)
                      static_cast<int>(config_.screenHeight))};
 
         // Clear the on-chip tile buffers by advancing the epoch: a
-        // pixel whose stamp is stale reads as depth 1.0f / no owner,
-        // exactly what the former per-tile fills produced. On the
-        // (rare) 32-bit wrap, re-zero the stamps so an entry from
-        // 2^32 tiles ago cannot alias the fresh epoch.
+        // quad whose stamp is stale reads as depth 1.0f / no owner,
+        // exactly what a per-tile fill would produce. On the (rare)
+        // 32-bit wrap, re-zero the stamps so a quad from 2^32 tiles
+        // ago cannot alias the fresh epoch.
         if (++tileEpoch_ == 0) {
-            for (TileDepthEntry &e : tileZ_)
-                e.stamp = 0;
+            std::fill(tileStamp_.begin(), tileStamp_.end(), 0);
             tileEpoch_ = 1;
         }
+        // Quad coordinates of the tile's top-left pixel.
+        const int qx0 = px0 >> 1;
+        const int qy0 = py0 >> 1;
 
         // Read the tile list back (one L2 access per line), as
         // batched multi-line walks. Entry indices wrap modulo 512
@@ -460,7 +466,7 @@ TimingSimulator::simulate(const GeometryIR &ir, FrameActivity *activity)
         // Shade one surviving quad: queue -> fragment processor ->
         // texture samples -> blend. Returns the blend-complete time.
         auto shadeQuad = [&](const DrawHot &hot, sim::Tick ready,
-                             const QuadFragment &quad, int pixels) {
+                             util::Vec2f uv, int pixels) {
             obs::AttribScope shadeScope(obs::HostDomain::Shade);
             const std::uint64_t fsInstr = hot.fsInstr;
 
@@ -478,9 +484,8 @@ TimingSimulator::simulate(const GeometryIR &ir, FrameActivity *activity)
                     texRR = 0;
                 const sim::Tick texDone = memAccess(
                     &tc, fpStart,
-                    SceneBinding::texelAddr(hot.tex,
-                                            quad.uv.x + 0.01f * s,
-                                            quad.uv.y),
+                    SceneBinding::texelAddr(hot.tex, uv.x + 0.01f * s,
+                                            uv.y),
                     false, &batch_.rasterDramLines);
                 fpDone = std::max(fpDone, texDone);
             }
@@ -506,6 +511,13 @@ TimingSimulator::simulate(const GeometryIR &ir, FrameActivity *activity)
             return blendDone;
         };
 
+        float *const tileZ = tileZ_.data();
+        std::uint32_t *const tileStamp = tileStamp_.data();
+        std::uint32_t *const tileOwner = tileOwner_.data();
+        util::Vec2f *const tileUv = tileUv_.data();
+        const std::size_t quadsPerRow = tileQuadsPerRow_;
+        const std::uint32_t epoch = tileEpoch_;
+
         std::uint32_t hotDrawId = ~0u;
         DrawHot hot;
         for (const auto &[di, ti] : bins_[tile]) {
@@ -515,8 +527,8 @@ TimingSimulator::simulate(const GeometryIR &ir, FrameActivity *activity)
                 hotDrawId = di;
             }
             const ScreenTriangle &tri = draw.triangles[ti];
-            const bool deferOpaque =
-                config_.hsrEnabled && !draw.transparent;
+            const bool opaque = !draw.transparent;
+            const bool deferOpaque = config_.hsrEnabled && opaque;
 
             // Triangle setup: attribute interpolants.
             rastFree +=
@@ -527,104 +539,115 @@ TimingSimulator::simulate(const GeometryIR &ir, FrameActivity *activity)
                 setups_[si] = setupTriangle(tri);
                 setupDone_[si] = 1;
             }
+            const TriangleSetup &setup = setups_[si];
+            const Lanes4 inv = splat4(setup.inv);
+            const Lanes4 z0 = splat4(tri.z[0]), z1 = splat4(tri.z[1]),
+                         z2 = splat4(tri.z[2]);
 
-            rasterizeSetupInTile(
-                setups_[si], tri, tileBox,
-                [&](const QuadFragment &quad) {
-                    const sim::Tick rastDone = ++rastFree;
-                    rastSpan.cover(rastDone - 1, rastDone);
-                    ++batch_.quads;
+            // One fused body per covered quad: 4-lane z, early-Z
+            // against the on-chip tile buffer (no memory traffic — the
+            // TBR advantage), then either shading or, for an opaque
+            // draw under HSR, recording the visible owner.
+            scanQuads(setup, tileBox, [&](int x, int y, unsigned mask,
+                                          const QuadEdges &q) {
+                const sim::Tick rastDone = ++rastFree;
+                rastSpan.cover(rastDone - 1, rastDone);
+                ++batch_.quads;
+                // The earlyZInflightQuads-deep availability ring never
+                // throttles: each quad advances rastFree by at least
+                // one cycle, so a ring slot written ezDone =
+                // thatRastDone + 1 one-or-more quads ago is always <=
+                // the current rastDone. The start time max(rastDone,
+                // slot) is therefore rastDone unconditionally and the
+                // unit-latency test finishes one cycle later.
+                const sim::Tick ezDone = rastDone + 1;
+                ezSpan.cover(rastDone, ezDone);
 
-                    // Early depth test against the on-chip tile
-                    // buffer (no memory traffic — the TBR advantage).
-                    // The earlyZInflightQuads-deep availability ring
-                    // never throttles: each quad advances rastFree by
-                    // at least one cycle, so a ring slot written
-                    // ezDone = thatRastDone + 1 one-or-more quads ago
-                    // is always <= the current rastDone. The start
-                    // time max(rastDone, slot) is therefore rastDone
-                    // unconditionally and the unit-latency test
-                    // finishes one cycle later.
-                    const sim::Tick ezDone = rastDone + 1;
-                    ezSpan.cover(rastDone, ezDone);
+                // Barycentric weights: e1 belongs to v0 (opposite
+                // edge), e2 to v1, e0 to v2; z = (w0*z0 + w1*z1) +
+                // w2*z2 per lane.
+                const Lanes4 w0 = q.e[1] * inv;
+                const Lanes4 w1 = q.e[2] * inv;
+                const Lanes4 w2 = q.e[0] * inv;
+                const Lanes4 z = (w0 * z0 + w1 * z1) + w2 * z2;
+                const std::size_t qi =
+                    static_cast<std::size_t>((y >> 1) - qy0) *
+                        quadsPerRow +
+                    static_cast<std::size_t>((x >> 1) - qx0);
+                float *const d = tileZ + 4 * qi;
+                const bool live = tileStamp[qi] == epoch;
+                const Lanes4 old = live ? load4(d) : splat4(1.0f);
+                // !(z > depth): a NaN z passes.
+                const unsigned pass = notGreaterBits(z, old) & mask;
+                if (pass == 0) {
+                    ++batch_.earlyZKills;
+                    return;
+                }
+                if (opaque) {
+                    // Select-store: failing and uncovered lanes write
+                    // their old depth back.
+                    store4(d, select4(pass, z, old));
+                    tileStamp[qi] = epoch;
+                }
 
-                    const std::size_t tw =
-                        static_cast<std::size_t>(tileW);
-                    const std::size_t base =
-                        static_cast<std::size_t>(quad.y - py0) * tw +
-                        static_cast<std::size_t>(quad.x - px0);
-                    const std::size_t pixOf[4] = {base, base + 1,
-                                                  base + tw,
-                                                  base + tw + 1};
-                    int passing = 0;
-                    if (!deferOpaque) {
-                        // Select-stores: a failing opaque sample
-                        // writes the entry's own bits back, so the
-                        // buffer is unchanged exactly as if the store
-                        // were skipped — but the depth compare no
-                        // longer forks control flow.
-                        const bool opaque = !draw.transparent;
-                        for (int s = 0; s < 4; ++s) {
-                            if (!(quad.mask & (1 << s)))
-                                continue;
-                            TileDepthEntry &e = tileZ_[pixOf[s]];
-                            const float depth = e.stamp == tileEpoch_
-                                                    ? e.depth
-                                                    : 1.0f;
-                            const bool pass = !(quad.z[s] > depth);
-                            passing += static_cast<int>(pass);
-                            if (opaque) {
-                                e.depth = pass ? quad.z[s] : e.depth;
-                                e.stamp =
-                                    pass ? tileEpoch_ : e.stamp;
-                            }
-                        }
-                    } else {
-                        for (int s = 0; s < 4; ++s) {
-                            if (!(quad.mask & (1 << s)))
-                                continue;
-                            const std::size_t pix = pixOf[s];
-                            TileDepthEntry &e = tileZ_[pix];
-                            const float depth = e.stamp == tileEpoch_
-                                                    ? e.depth
-                                                    : 1.0f;
-                            if (quad.z[s] > depth)
-                                continue;
-                            ++passing;
-                            e.depth = quad.z[s];
-                            e.stamp = tileEpoch_;
-                            tileOwner_[pix] = di + 1;
-                            tileUv_[pix] = quad.uv;
-                        }
+                // Texture coordinate of the first covered sample
+                // stands in for the whole quad.
+                alignas(16) float w0a[4], w1a[4], w2a[4];
+                store4(w0a, w0);
+                store4(w1a, w1);
+                store4(w2a, w2);
+                const int s = __builtin_ctz(mask);
+                const util::Vec2f uv = {
+                    w0a[s] * tri.uv[0].x + w1a[s] * tri.uv[1].x +
+                        w2a[s] * tri.uv[2].x,
+                    w0a[s] * tri.uv[0].y + w1a[s] * tri.uv[1].y +
+                        w2a[s] * tri.uv[2].y};
+
+                if (deferOpaque) {
+                    // Shaded after the HSR resolve. Owner and uv lanes
+                    // are initialised on the quad's first touch in
+                    // this tile, so owner 0 means "never written".
+                    std::uint32_t *const own = tileOwner + 4 * qi;
+                    util::Vec2f *const quv = tileUv + 4 * qi;
+                    for (unsigned l = 0; l < 4; ++l) {
+                        const bool win = (pass >> l) & 1u;
+                        own[l] = win ? di + 1 : live ? own[l] : 0;
+                        quv[l] = win ? uv : quv[l];
                     }
-                    if (passing == 0) {
-                        ++batch_.earlyZKills;
-                        return;
-                    }
-                    if (deferOpaque)
-                        return; // shaded after HSR resolve
-                    tileDone = std::max(
-                        tileDone, shadeQuad(hot, ezDone, quad,
-                                            passing));
-                });
+                    return;
+                }
+                tileDone = std::max(
+                    tileDone, shadeQuad(hot, ezDone, uv, popcount4(pass)));
+            });
             tileDone = std::max(tileDone, rastFree);
         }
 
         if (config_.hsrEnabled) {
             // Deferred shading: only the visible opaque pixels are
-            // shaded, grouped per draw (PowerVR-style HSR). Under HSR
-            // every opaque depth write also stamped an owner, so the
-            // epoch check is exactly the former owner != 0 test; one
-            // pass counts pixels and records each draw's first uv (the
-            // same one the former ascending per-draw rescan found).
+            // shaded, grouped per draw (PowerVR-style HSR). One pass
+            // over the tile's pixels in row-major order counts pixels
+            // per owner and records each draw's first uv in that
+            // order.
             hsrPixelsPerDraw_.assign(ir.draws.size(), 0);
             hsrUv_.resize(ir.draws.size());
-            for (std::size_t pix = 0; pix < tileZ_.size(); ++pix) {
-                if (tileZ_[pix].stamp != tileEpoch_)
-                    continue;
-                const std::uint32_t owner = tileOwner_[pix] - 1;
-                if (++hsrPixelsPerDraw_[owner] == 1)
-                    hsrUv_[owner] = tileUv_[pix];
+            for (int y = tileBox.y0; y < tileBox.y1; ++y) {
+                const std::size_t rowQuad =
+                    static_cast<std::size_t>((y >> 1) - qy0) *
+                    quadsPerRow;
+                const unsigned rowLane = (y & 1) ? 2u : 0u;
+                for (int x = tileBox.x0; x < tileBox.x1; ++x) {
+                    const std::size_t qi =
+                        rowQuad + static_cast<std::size_t>((x >> 1) - qx0);
+                    if (tileStamp[qi] != epoch)
+                        continue;
+                    const std::size_t lane =
+                        4 * qi + rowLane + static_cast<unsigned>(x & 1);
+                    const std::uint32_t owner = tileOwner[lane];
+                    if (owner == 0)
+                        continue;
+                    if (++hsrPixelsPerDraw_[owner - 1] == 1)
+                        hsrUv_[owner - 1] = tileUv[lane];
+                }
             }
             for (std::size_t di = 0; di < hsrPixelsPerDraw_.size();
                  ++di) {
@@ -634,15 +657,13 @@ TimingSimulator::simulate(const GeometryIR &ir, FrameActivity *activity)
                 const DrawIR &draw =
                     ir.draws[static_cast<std::uint32_t>(di)];
                 const DrawHot drawHot = makeHot(draw);
-                QuadFragment quad;
-                quad.uv = hsrUv_[di];
                 while (pixels) {
                     const int batch = static_cast<int>(
                         std::min<std::uint64_t>(4, pixels));
                     pixels -= static_cast<std::uint64_t>(batch);
                     tileDone = std::max(
                         tileDone,
-                        shadeQuad(drawHot, tileDone, quad, batch));
+                        shadeQuad(drawHot, tileDone, hsrUv_[di], batch));
                 }
             }
         }

@@ -11,11 +11,13 @@
  *
  * Hot-path engineering (see DESIGN.md §6g): per-access counters batch
  * into integer accumulators and reach the registry in one exact flush
- * per frame; the on-chip tile buffers clear via an epoch stamp
- * instead of a per-tile fill; triangle setup is computed once per
- * triangle and reused across the tiles it was binned into. All of it
- * keeps every statistic bit-identical to the straightforward model —
- * the golden suites under tests/perf enforce that.
+ * per frame; the on-chip tile buffers are quad-major and clear via a
+ * per-quad epoch stamp instead of a per-tile fill; triangle setup is
+ * computed once per triangle and reused across the tiles it was
+ * binned into; each tile runs one fused per-quad kernel (edge scan,
+ * 4-lane z, early-Z or HSR). All of it keeps every statistic
+ * bit-identical to the straightforward model — the golden suites under
+ * tests/perf enforce that.
  */
 
 #ifndef MSIM_GPUSIM_TIMING_SIMULATOR_HH
@@ -292,24 +294,22 @@ class TimingSimulator
     std::vector<sim::Tick> fragmentProcFree_;
 
     /**
-     * One on-chip depth-buffer pixel: depth plus the epoch stamp that
-     * validates it, fused into 8 bytes so the early-Z test is a single
-     * load. An entry is live only when its stamp matches tileEpoch_,
-     * so "clearing" a tile is one counter increment instead of a fill
-     * (stale entries read as depth 1.0f exactly as a fill would
-     * produce). The 32-bit epoch wraps after 2^32 tiles; the wrap
-     * handler re-zeroes the stamps so no stale entry can alias.
+     * The on-chip tile buffers, in 2x2 quad-major order: quad (qx, qy)
+     * of a tile (relative to the quad holding the tile's top-left
+     * pixel) holds its four samples in lane order at
+     * (qy * tileQuadsPerRow_ + qx) * 4, so a quad's early-Z test is
+     * one 4-lane load. One epoch stamp per quad validates its lanes:
+     * a quad whose stamp is not tileEpoch_ reads depth 1.0f in every
+     * lane, so "clearing" a tile is one counter increment instead of
+     * a fill. An opaque write stores all four lanes and the stamp.
+     * The 32-bit epoch wraps after 2^32 tiles; the wrap handler
+     * re-zeroes the stamps so no stale quad can alias.
      */
-    struct TileDepthEntry
-    {
-        float depth;
-        std::uint32_t stamp;
-    };
-
-    // Per-frame working state.
-    std::vector<TileDepthEntry> tileZ_;
+    std::vector<float> tileZ_;
+    std::vector<std::uint32_t> tileStamp_;
     std::vector<std::uint32_t> tileOwner_; // HSR: winning draw + 1
     std::vector<util::Vec2f> tileUv_;      // HSR: winning sample uv
+    std::size_t tileQuadsPerRow_ = 0;
     std::uint32_t tileEpoch_ = 0;
     FrameBatch batch_;
     GeometryIR ir_; // reused by simulate(FrameTrace) across frames

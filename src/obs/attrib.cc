@@ -9,17 +9,20 @@
 namespace msim::obs
 {
 
+namespace detail
+{
+bool attribEnabled = false;
+} // namespace detail
+
 namespace
 {
-
-bool gAttribEnabled = false;
 
 bool
 initAttribFromEnv()
 {
     const char *env = std::getenv("MEGSIM_ATTRIB");
-    gAttribEnabled = env && *env && std::string_view(env) != "0";
-    return gAttribEnabled;
+    detail::attribEnabled = env && *env && std::string_view(env) != "0";
+    return detail::attribEnabled;
 }
 
 [[maybe_unused]] const bool gAttribInit = initAttribFromEnv();
@@ -37,16 +40,36 @@ hostDomainName(HostDomain d)
     return kDomainNames[static_cast<std::size_t>(d)];
 }
 
-bool
-hostAttribEnabled()
-{
-    return gAttribEnabled;
-}
-
 void
 setHostAttribEnabled(bool on)
 {
-    gAttribEnabled = on;
+    detail::attribEnabled = on;
+}
+
+void
+AttribScope::open(HostDomain d)
+{
+    detail::AttribBuckets &b = detail::tlsBuckets();
+    if (!b.open)
+        return;
+    const double now = detail::attribClock();
+    const std::size_t prev = static_cast<std::size_t>(b.current);
+    b.seconds[prev] += now - b.stamp;
+    previous_ = b.current;
+    b.current = d;
+    b.stamp = now;
+    ++b.entries[static_cast<std::size_t>(d)];
+    armed_ = true;
+}
+
+void
+AttribScope::close()
+{
+    detail::AttribBuckets &b = detail::tlsBuckets();
+    const double now = detail::attribClock();
+    b.seconds[static_cast<std::size_t>(b.current)] += now - b.stamp;
+    b.current = previous_;
+    b.stamp = now;
 }
 
 void

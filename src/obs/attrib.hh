@@ -55,9 +55,20 @@ constexpr std::size_t kHostDomainCount =
 /** Stable lower-case name used in stats and reports ("memwalk"). */
 const char *hostDomainName(HostDomain d);
 
+namespace detail
+{
+extern bool attribEnabled;
+} // namespace detail
+
 /** Global enable flag; written only during single-threaded setup
- *  (MEGSIM_ATTRIB env, CLI flag, tests). */
-bool hostAttribEnabled();
+ *  (MEGSIM_ATTRIB env, CLI flag, tests). Inline: every AttribScope
+ *  on the simulator hot paths reads it. */
+inline bool
+hostAttribEnabled()
+{
+    return detail::attribEnabled;
+}
+
 void setHostAttribEnabled(bool on);
 
 /** A clock in seconds; attribution reads wallSeconds() by default. */
@@ -117,36 +128,21 @@ class AttribScope
   public:
     explicit AttribScope(HostDomain d)
     {
-        if (!hostAttribEnabled()) [[likely]]
-            return;
-        detail::AttribBuckets &b = detail::tlsBuckets();
-        if (!b.open)
-            return;
-        const double now = detail::attribClock();
-        const std::size_t prev =
-            static_cast<std::size_t>(b.current);
-        b.seconds[prev] += now - b.stamp;
-        previous_ = b.current;
-        b.current = d;
-        b.stamp = now;
-        ++b.entries[static_cast<std::size_t>(d)];
-        armed_ = true;
+        if (hostAttribEnabled()) [[unlikely]]
+            open(d);
     }
     ~AttribScope()
     {
-        if (!armed_)
-            return;
-        detail::AttribBuckets &b = detail::tlsBuckets();
-        const double now = detail::attribClock();
-        b.seconds[static_cast<std::size_t>(b.current)] +=
-            now - b.stamp;
-        b.current = previous_;
-        b.stamp = now;
+        if (armed_) [[unlikely]]
+            close();
     }
     AttribScope(const AttribScope &) = delete;
     AttribScope &operator=(const AttribScope &) = delete;
 
   private:
+    void open(HostDomain d);
+    void close();
+
     HostDomain previous_ = HostDomain::Other;
     bool armed_ = false;
 };

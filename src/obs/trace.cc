@@ -39,15 +39,18 @@ ObsConfig::fromEnv()
 }
 
 TraceBuffer::TraceBuffer(const ObsConfig &config)
-    : ring_(config.traceCapacity ? config.traceCapacity : 1),
-      enabled_(config.traceEnabled)
-{}
+    : capacity_(config.traceCapacity ? config.traceCapacity : 1)
+{
+    setEnabled(config.traceEnabled);
+}
 
 void
 TraceBuffer::forEach(
     const std::function<void(const TraceEvent &)> &fn) const
 {
     const std::size_t n = size();
+    if (n == 0)
+        return;
     const std::size_t first =
         emitted_ < ring_.size()
             ? 0

@@ -76,8 +76,18 @@ class TraceBuffer
     explicit TraceBuffer(const ObsConfig &config);
 
     bool enabled() const { return enabled_; }
-    void setEnabled(bool on) { enabled_ = on; }
-    std::size_t capacity() const { return ring_.size(); }
+
+    /** The ring is allocated on first enable: a disabled buffer (every
+     *  timing simulator's, by default) holds no events and no memory. */
+    void
+    setEnabled(bool on)
+    {
+        if (on && ring_.empty())
+            ring_.resize(capacity_);
+        enabled_ = on;
+    }
+
+    std::size_t capacity() const { return capacity_; }
 
     /** Record an interval event; keeps the most recent `capacity`. */
     void
@@ -130,7 +140,8 @@ class TraceBuffer
     std::vector<TraceEvent> snapshot() const;
 
   private:
-    std::vector<TraceEvent> ring_;
+    std::size_t capacity_;
+    std::vector<TraceEvent> ring_; // capacity_ events once enabled
     std::uint64_t emitted_ = 0;
     bool enabled_ = false;
 };

@@ -1,10 +1,11 @@
 #include "resilience/checkpoint.hh"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <sstream>
+#include <string_view>
 
 #include "obs/stats.hh"
 #include "resilience/artifact.hh"
@@ -18,7 +19,7 @@ namespace msim::resilience
 namespace
 {
 
-constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 obs::Scalar &
 counter(const char *name, const char *desc)
@@ -27,49 +28,83 @@ counter(const char *name, const char *desc)
         std::string("resilience.checkpoint.") + name, desc);
 }
 
-std::string
-journalLine(const std::vector<double> &row)
+/** Checksum of journal line @p index: FNV-1a over the line number,
+ *  then the payload, so a line only verifies at its own position. */
+std::uint64_t
+lineChecksum(std::size_t index, std::string_view payload)
 {
-    std::string payload;
-    char buf[64];
+    const std::uint64_t n = index;
+    Checksum sum;
+    sum.update(&n, sizeof(n));
+    sum.update(payload);
+    return sum.digest();
+}
+
+/**
+ * Append journal line @p index for @p row to @p out: every value as
+ * std::to_chars shortest round-trip text (strtod reads back the same
+ * double), then `#<16hex>` and a newline.
+ */
+void
+appendJournalLine(std::string &out, std::size_t index,
+                  const std::vector<double> &row)
+{
+    const std::size_t start = out.size();
+    char buf[32];
     for (std::size_t c = 0; c < row.size(); ++c) {
-        std::snprintf(buf, sizeof(buf), "%.17g", row[c]);
         if (c)
-            payload += ',';
-        payload += buf;
+            out += ',';
+        out.append(buf, std::to_chars(buf, buf + sizeof(buf), row[c]).ptr);
     }
     char tail[24];
-    std::snprintf(tail, sizeof(tail), "#%016" PRIx64, fnv1a(payload));
-    return payload + tail;
+    std::snprintf(tail, sizeof(tail), "#%016" PRIx64 "\n",
+                  lineChecksum(index, std::string_view(out).substr(start)));
+    out += tail;
 }
 
 /**
  * Parse journal text into rows, stopping at the first line that is
- * torn, mis-checksummed or has the wrong width — everything after a
- * bad line is unusable because appends are strictly ordered.
+ * torn, mis-checksummed, out of place or has the wrong width —
+ * everything after a bad line is unusable because appends are
+ * strictly ordered.
  */
 std::vector<std::vector<double>>
 parseJournal(const std::string &text, std::size_t cols)
 {
     std::vector<std::vector<double>> rows;
-    std::stringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line)) {
+    std::size_t pos = 0;
+    while (pos < text.size()) {
+        const std::size_t eol = text.find('\n', pos);
+        if (eol == std::string::npos)
+            break; // torn tail
+        const std::string_view line(text.data() + pos, eol - pos);
+        pos = eol + 1;
         const std::size_t hash = line.rfind('#');
-        if (hash == std::string::npos)
+        if (hash == std::string_view::npos || line.size() - hash != 17)
             break;
-        const std::string payload = line.substr(0, hash);
         std::uint64_t stored = 0;
-        if (std::sscanf(line.c_str() + hash, "#%" SCNx64, &stored) != 1)
+        const char *const lineEnd = line.data() + line.size();
+        const auto [hexEnd, hexErr] =
+            std::from_chars(line.data() + hash + 1, lineEnd, stored, 16);
+        if (hexErr != std::errc() || hexEnd != lineEnd)
             break;
-        if (fnv1a(payload) != stored)
+        const std::string_view payload = line.substr(0, hash);
+        if (lineChecksum(rows.size(), payload) != stored)
             break;
         std::vector<double> row;
         row.reserve(cols);
-        std::stringstream cells(payload);
-        std::string cell;
-        while (std::getline(cells, cell, ','))
-            row.push_back(std::strtod(cell.c_str(), nullptr));
+        std::size_t cell = 0;
+        while (cell <= payload.size()) {
+            std::size_t comma = payload.find(',', cell);
+            if (comma == std::string_view::npos)
+                comma = payload.size();
+            const std::string value(payload.substr(cell, comma - cell));
+            char *end = nullptr;
+            row.push_back(std::strtod(value.c_str(), &end));
+            if (value.empty() || end != value.c_str() + value.size())
+                return rows;
+            cell = comma + 1;
+        }
         if (row.size() != cols)
             break;
         rows.push_back(std::move(row));
@@ -81,10 +116,8 @@ std::string
 journalText(const std::vector<std::vector<double>> &rows)
 {
     std::string text;
-    for (const std::vector<double> &row : rows) {
-        text += journalLine(row);
-        text += '\n';
-    }
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        appendJournalLine(text, i, rows[i]);
     return text;
 }
 
@@ -109,17 +142,14 @@ Checkpoint::resume()
     if (manifest.ok()) {
         std::uint32_t version = 0;
         std::uint64_t fingerprint = 0;
-        std::size_t total = 0, statsCols = 0, activityCols = 0,
-                    committed = 0;
+        std::size_t total = 0, statsCols = 0, activityCols = 0;
         const int got = std::sscanf(
             manifest->c_str(),
             "megsim-checkpoint v%" SCNu32 "\n"
             "fingerprint %" SCNx64 "\n"
-            "total %zu stats_cols %zu activity_cols %zu\n"
-            "frames %zu",
-            &version, &fingerprint, &total, &statsCols, &activityCols,
-            &committed);
-        if (got != 6 || version != kCheckpointVersion ||
+            "total %zu stats_cols %zu activity_cols %zu",
+            &version, &fingerprint, &total, &statsCols, &activityCols);
+        if (got != 5 || version != kCheckpointVersion ||
             fingerprint != fingerprint_ || total != totalFrames_ ||
             statsCols != statsCols_ || activityCols != activityCols_) {
             sim::warn("checkpoint '%s' does not match this run; "
@@ -134,7 +164,9 @@ Checkpoint::resume()
                 statsRows_ = parseJournal(*statsText, statsCols_);
                 activityRows_ =
                     parseJournal(*activityText, activityCols_);
-                frames_ = std::min({committed, statsRows_.size(),
+                // A kill between the two appends leaves the stats
+                // journal one line ahead; the minimum drops it.
+                frames_ = std::min({statsRows_.size(),
                                     activityRows_.size(),
                                     totalFrames_});
                 statsRows_.resize(frames_);
@@ -153,7 +185,7 @@ Checkpoint::resume()
     }
 
     if (frames_ > 0) {
-        // Drop any torn/uncommitted journal tail so the files on disk
+        // Drop any torn or unmatched journal tail so the files on disk
         // exactly mirror the recovered state before we append to them.
         auto statsOk = atomicWriteFile(statsJournalPath(),
                                        journalText(statsRows_));
@@ -179,7 +211,7 @@ Checkpoint::resume()
         if (!statsJnl_ || !activityJnl_)
             failWrites("opening journals");
         else
-            commitManifest();
+            writeManifest();
     }
     return frames_;
 }
@@ -194,32 +226,39 @@ Checkpoint::append(const std::vector<double> &statsRow,
         failWrites("appending to journals (injected)");
         return;
     }
-    statsJnl_ << journalLine(statsRow) << '\n';
-    activityJnl_ << journalLine(activityRow) << '\n';
+    // One buffered write and a flush per journal: once flushed the
+    // line is in the page cache and survives SIGKILL. The lines
+    // themselves are the commit record.
+    line_.clear();
+    appendJournalLine(line_, frames_, statsRow);
+    statsJnl_.write(line_.data(),
+                    static_cast<std::streamsize>(line_.size()));
     statsJnl_.flush();
+    line_.clear();
+    appendJournalLine(line_, frames_, activityRow);
+    activityJnl_.write(line_.data(),
+                       static_cast<std::streamsize>(line_.size()));
     activityJnl_.flush();
     if (!statsJnl_ || !activityJnl_) {
         failWrites("appending to journals");
         return;
     }
     ++frames_;
-    commitManifest();
 }
 
 void
-Checkpoint::commitManifest()
+Checkpoint::writeManifest()
 {
     char text[256];
     std::snprintf(text, sizeof(text),
                   "megsim-checkpoint v%" PRIu32 "\n"
                   "fingerprint %016" PRIx64 "\n"
-                  "total %zu stats_cols %zu activity_cols %zu\n"
-                  "frames %zu\n",
+                  "total %zu stats_cols %zu activity_cols %zu\n",
                   kCheckpointVersion, fingerprint_, totalFrames_,
-                  statsCols_, activityCols_, frames_);
+                  statsCols_, activityCols_);
     auto written = atomicWriteFile(manifestPath(), text);
     if (!written.ok())
-        failWrites("committing the manifest");
+        failWrites("writing the manifest");
 }
 
 void

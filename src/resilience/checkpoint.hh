@@ -4,22 +4,26 @@
  *
  * A checkpoint is three files next to the cache artifacts:
  *
- *   <stem>.ckpt.manifest      versioned, atomically rewritten after
- *                             every committed frame:
- *                               megsim-checkpoint v1
+ *   <stem>.ckpt.manifest      versioned, written once (atomically)
+ *                             when the journals are opened:
+ *                               megsim-checkpoint v2
  *                               fingerprint <16hex>
  *                               total <N> stats_cols <k> activity_cols <m>
- *                               frames <n>
- *   <stem>.ckpt.stats.jnl     one line per completed frame: the
- *   <stem>.ckpt.activity.jnl  CSV row plus `#<16hex>` FNV-1a line
- *                             checksum, appended + flushed
+ *   <stem>.ckpt.stats.jnl     one line per completed frame: the row's
+ *   <stem>.ckpt.activity.jnl  values as shortest round-trip text, then
+ *                             `#<16hex>`, an FNV-1a checksum over the
+ *                             line number and the values; appended
+ *                             with one write and a flush
  *
- * A killed run leaves at worst one torn journal line past the last
- * manifest commit; resume() recovers the longest prefix that is valid
- * in both journals AND committed by the manifest, truncates the
- * journals back to it, and the pass continues from there. Because
- * every frame simulates cold (order-independent), a resumed run is
- * bit-identical to an uninterrupted one.
+ * The journal lines are the commit record: a flushed line is in the
+ * page cache and survives SIGKILL. A killed run leaves at worst one
+ * torn line, or a stats journal one line ahead of the activity
+ * journal; resume() recovers the longest prefix that parses and
+ * checksums in both journals, truncates the journals back to it, and
+ * the pass continues from there. A manifest of another version,
+ * scene, config or shape means "not this run" and the pass starts
+ * over. Because every frame simulates cold (order-independent), a
+ * resumed run is bit-identical to an uninterrupted one.
  */
 
 #ifndef MSIM_RESILIENCE_CHECKPOINT_HH
@@ -65,7 +69,7 @@ class Checkpoint
         return activityRows_;
     }
 
-    /** Journal one completed frame, then commit the manifest. */
+    /** Journal one completed frame (the commit). */
     void append(const std::vector<double> &statsRow,
                 const std::vector<double> &activityRow);
 
@@ -86,7 +90,7 @@ class Checkpoint
     }
 
   private:
-    void commitManifest();
+    void writeManifest();
     void failWrites(const char *what);
 
     std::string stem_;
@@ -99,6 +103,7 @@ class Checkpoint
     std::vector<std::vector<double>> activityRows_;
     std::ofstream statsJnl_;
     std::ofstream activityJnl_;
+    std::string line_; // append() scratch, capacity kept
     std::size_t frames_ = 0;
     bool writeFailed_ = false;
 };

@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <limits>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/megsim.hh"
 #include "exec/pool.hh"
@@ -979,4 +981,25 @@ TEST(Data, CachePathSurvivesLongSceneNames)
                   static_cast<unsigned long long>(data.cacheKey()));
     EXPECT_NE(stats.find(std::string("_") + keyHex + "_stats.csv"),
               std::string::npos);
+}
+
+TEST(Data, CacheKeyIsComputedOnDemandAndRaceFree)
+{
+    // Without a cache directory the scene is hashed only when the key
+    // is asked for; concurrent first calls all see the same value.
+    const gfx::SceneTrace scene = workloads::buildBenchmark("hcr", 1.0, 4);
+    const gpusim::GpuConfig config =
+        gpusim::GpuConfig::evaluationScaled();
+    BenchmarkData data(scene, config, "");
+    const std::uint64_t expected =
+        sim::hashMix(scene.contentHash(), config.fingerprint());
+
+    std::vector<std::uint64_t> keys(4, 0);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        threads.emplace_back([&, i] { keys[i] = data.cacheKey(); });
+    for (std::thread &t : threads)
+        t.join();
+    for (std::uint64_t key : keys)
+        EXPECT_EQ(key, expected);
 }

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/megsim.hh"
@@ -178,6 +179,53 @@ TEST_F(PerfGoldenTest, FunctionalActivityMatchesGolden)
             megsim::BenchmarkData data(scene, config, "");
             EXPECT_EQ(activityCsv(data.activities()), expected)
                 << alias << " at " << threads << " threads";
+        }
+    }
+}
+
+TEST_F(PerfGoldenTest, HsrTimingMatchesGoldenAtEveryThreadCount)
+{
+    // The deferred (HSR) path of the timing model: its stats and the
+    // activity the timing model executed (published by the
+    // ground-truth pass), pinned per frame like the early-Z path.
+    for (const std::string &alias : kBenches) {
+        const gfx::SceneTrace scene =
+            workloads::buildBenchmark(alias, 1.0, kFrames);
+        gpusim::GpuConfig config = gpusim::GpuConfig::evaluationScaled();
+        config.hsrEnabled = true;
+        const std::string statsGolden =
+            goldenPath(alias + "_hsr_stats.csv");
+        const std::string activityGolden =
+            goldenPath(alias + "_hsr_activity.csv");
+
+        auto run = [&](std::size_t threads) {
+            exec::Pool::setConfiguredThreads(threads);
+            megsim::BenchmarkData data(scene, config, "");
+            std::string stats = statsCsv(data.frameStats());
+            return std::make_pair(std::move(stats),
+                                  activityCsv(data.activities()));
+        };
+
+        if (regenerating()) {
+            const auto [stats, activity] = run(1);
+            writeFile(statsGolden, stats);
+            writeFile(activityGolden, activity);
+            continue;
+        }
+
+        const std::string expectedStats = readFile(statsGolden);
+        const std::string expectedActivity = readFile(activityGolden);
+        ASSERT_FALSE(expectedStats.empty() || expectedActivity.empty())
+            << statsGolden
+            << " missing — run with MEGSIM_REGEN_GOLDEN=1 first";
+        for (std::size_t threads : {std::size_t(1), std::size_t(2),
+                                    std::size_t(8)}) {
+            const auto [stats, activity] = run(threads);
+            EXPECT_EQ(stats, expectedStats)
+                << alias << " (HSR) at " << threads << " threads";
+            EXPECT_EQ(activity, expectedActivity)
+                << alias << " (HSR) activity at " << threads
+                << " threads";
         }
     }
 }

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <csignal>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -273,6 +274,212 @@ TEST_F(ResilienceTest, CheckpointRejectsForeignManifest)
     // Same stem, different scene/config fingerprint: start over.
     Checkpoint other(path("bench"), 0xdefULL, 5, 2, 2);
     EXPECT_EQ(other.resume(), 0u);
+}
+
+TEST_F(ResilienceTest, CheckpointDecodersSurviveMutatedInput)
+{
+    // Deterministic mutation harness over the manifest and both
+    // journals: whatever the bytes, resume() returns, the rows it
+    // recovers are a prefix of the rows written, and a following
+    // append + resume round-trips.
+    const std::vector<std::vector<double>> stats = {
+        {0, 10.5, 1e20}, {1, -11.25, 0.1}, {2, 1.0 / 3, 7},
+        {3, 5e-324, -0.0}, {4, 123456789.0, 2.5}};
+    const std::vector<std::vector<double>> acts = {
+        {0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}};
+    constexpr std::size_t kWritten = 4;
+    const std::string stem = path("bench");
+    const std::string manifest = stem + ".ckpt.manifest";
+    const std::string statsJnl = stem + ".ckpt.stats.jnl";
+    const std::string actsJnl = stem + ".ckpt.activity.jnl";
+    {
+        Checkpoint ckpt(stem, 0xabcULL, 6, 3, 2);
+        ASSERT_EQ(ckpt.resume(), 0u);
+        for (std::size_t f = 0; f < kWritten; ++f)
+            ckpt.append(stats[f], acts[f]);
+    }
+    const std::vector<std::string> files = {manifest, statsJnl, actsJnl};
+    std::vector<std::string> pristine;
+    for (const std::string &f : files)
+        pristine.push_back(slurp(f));
+
+    std::size_t cases = 0;
+    // Install @p mutated as file @p k (the others pristine), resume,
+    // and return the number of frames recovered.
+    auto check = [&](std::size_t k, const std::string &mutated,
+                     const std::string &what) -> std::size_t {
+        ++cases;
+        for (std::size_t i = 0; i < files.size(); ++i)
+            spit(files[i], i == k ? mutated : pristine[i]);
+        std::size_t n = 0;
+        {
+            Checkpoint ckpt(stem, 0xabcULL, 6, 3, 2);
+            n = ckpt.resume();
+            EXPECT_LE(n, kWritten) << what;
+            if (n > kWritten)
+                return n;
+            EXPECT_EQ(ckpt.statsRows(),
+                      std::vector<std::vector<double>>(
+                          stats.begin(), stats.begin() + n))
+                << what;
+            EXPECT_EQ(ckpt.activityRows(),
+                      std::vector<std::vector<double>>(
+                          acts.begin(), acts.begin() + n))
+                << what;
+            ckpt.append(stats[n], acts[n]);
+        }
+        Checkpoint again(stem, 0xabcULL, 6, 3, 2);
+        EXPECT_EQ(again.resume(), n + 1) << what;
+        EXPECT_EQ(again.statsRows(),
+                  std::vector<std::vector<double>>(
+                      stats.begin(), stats.begin() + n + 1))
+            << what;
+        EXPECT_EQ(again.activityRows(),
+                  std::vector<std::vector<double>>(
+                      acts.begin(), acts.begin() + n + 1))
+            << what;
+        return n;
+    };
+
+    auto lines = [](const std::string &text) {
+        std::vector<std::string> out;
+        std::size_t pos = 0;
+        while (pos < text.size()) {
+            const std::size_t eol = text.find('\n', pos);
+            out.push_back(text.substr(pos, eol + 1 - pos));
+            pos = eol + 1;
+        }
+        return out;
+    };
+    auto join = [](const std::vector<std::string> &parts) {
+        std::string text;
+        for (const std::string &p : parts)
+            text += p;
+        return text;
+    };
+
+    ::testing::internal::CaptureStderr(); // one warning per case
+    EXPECT_EQ(check(0, pristine[0], "pristine"), kWritten);
+
+    for (std::size_t k = 0; k < files.size(); ++k) {
+        const std::string &text = pristine[k];
+        for (std::size_t len = 0; len < text.size(); ++len)
+            check(k, text.substr(0, len),
+                  files[k] + " truncated at " + std::to_string(len));
+        for (std::size_t i = 0; i < text.size(); ++i) {
+            for (unsigned char bits : {0x01, 0xFF}) {
+                std::string flipped = text;
+                flipped[i] = static_cast<char>(
+                    static_cast<unsigned char>(flipped[i]) ^ bits);
+                check(k, flipped,
+                      files[k] + " byte " + std::to_string(i) + " ^ " +
+                          std::to_string(bits));
+            }
+        }
+    }
+
+    // Line edits: a line only verifies at its own position, so the
+    // recovered prefix ends exactly at the first edited line.
+    for (std::size_t k = 1; k < files.size(); ++k) {
+        const std::vector<std::string> orig = lines(pristine[k]);
+        ASSERT_EQ(orig.size(), kWritten);
+        for (std::size_t j = 0; j < orig.size(); ++j) {
+            std::vector<std::string> dup = orig;
+            dup.insert(dup.begin() + static_cast<long>(j), orig[j]);
+            EXPECT_EQ(check(k, join(dup), "dup " + std::to_string(j)),
+                      j + 1);
+            std::vector<std::string> drop = orig;
+            drop.erase(drop.begin() + static_cast<long>(j));
+            EXPECT_EQ(check(k, join(drop), "drop " + std::to_string(j)),
+                      j);
+            if (j + 1 < orig.size()) {
+                std::vector<std::string> swap = orig;
+                std::swap(swap[j], swap[j + 1]);
+                EXPECT_EQ(
+                    check(k, join(swap), "swap " + std::to_string(j)), j);
+            }
+        }
+    }
+
+    // A row of the wrong width with a valid checksum at its position:
+    // the same frames journaled with one more stats column.
+    {
+        const std::string wideStem = path("wide");
+        {
+            Checkpoint wide(wideStem, 0xabcULL, 6, 4, 2);
+            wide.resume();
+            for (std::size_t f = 0; f < kWritten; ++f) {
+                std::vector<double> row = stats[f];
+                row.push_back(9.0);
+                wide.append(row, acts[f]);
+            }
+        }
+        const std::vector<std::string> wideLines =
+            lines(slurp(wideStem + ".ckpt.stats.jnl"));
+        const std::vector<std::string> orig = lines(pristine[1]);
+        for (std::size_t j = 0; j < kWritten; ++j) {
+            std::vector<std::string> edited = orig;
+            edited[j] = wideLines[j];
+            EXPECT_EQ(check(1, join(edited), "wide " + std::to_string(j)),
+                      j);
+        }
+    }
+
+    // A v1 manifest (with its `frames` line) is not this run's.
+    {
+        char v1[256];
+        std::snprintf(v1, sizeof(v1),
+                      "megsim-checkpoint v1\nfingerprint %016x\n"
+                      "total 6 stats_cols 3 activity_cols 2\nframes 4\n",
+                      0xabcu);
+        EXPECT_EQ(check(0, v1, "v1 manifest"), 0u);
+    }
+    ::testing::internal::GetCapturedStderr();
+    // Every byte was truncated at and flipped twice.
+    EXPECT_GT(cases, 3 * (pristine[0].size() + pristine[1].size() +
+                          pristine[2].size()));
+}
+
+TEST_F(ResilienceTest, GroundTruthCommitCountsCrossCheckMismatches)
+{
+    // The timing model's activity must agree with its own stats on
+    // every committed frame; a doctored frame moves the counter and is
+    // still committed.
+    const gfx::SceneTrace scene = workloads::buildBenchmark("hcr", 1.0, 3);
+    const gpusim::GpuConfig config =
+        gpusim::GpuConfig::evaluationScaled();
+    obs::Scalar &mismatches = obs::processRegistry().scalar(
+        "megsim.ground_truth.crosscheck_mismatches", "");
+
+    megsim::BenchmarkData data(scene, config, "");
+    megsim::GroundTruthPass gt(data, 1);
+    ASSERT_EQ(gt.remaining(), 3u);
+    const double before = mismatches.value();
+
+    auto frame0 = gt.produce(0, 0);
+    ASSERT_TRUE(frame0.ok());
+    gt.commit(0, std::move(*frame0));
+    EXPECT_EQ(mismatches.value(), before);
+
+    auto frame1 = gt.produce(1, 0);
+    ASSERT_TRUE(frame1.ok());
+    frame1->activity.fsCounts.at(0) += 1; // fs sum != fs invocations
+    ::testing::internal::CaptureStderr();
+    gt.commit(1, std::move(*frame1));
+    const std::string warning = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(mismatches.value(), before + 1.0);
+    EXPECT_NE(warning.find("frame 1"), std::string::npos) << warning;
+
+    auto frame2 = gt.produce(2, 0);
+    ASSERT_TRUE(frame2.ok());
+    frame2->stats.primitives += 1;
+    ::testing::internal::CaptureStderr();
+    gt.commit(2, std::move(*frame2));
+    ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(mismatches.value(), before + 2.0);
+
+    gt.finish();
+    EXPECT_EQ(data.frameStats().size(), 3u);
 }
 
 TEST_F(ResilienceTest, GroundTruthSurvivesSigkillAndResumesIdentically)

@@ -535,8 +535,8 @@ envManifest()
 {
     static const char *const kVars[] = {
         "MEGSIM_THREADS",   "MEGSIM_FRAME_LIMIT", "MEGSIM_SCALE",
-        "MEGSIM_CACHE_DIR", "MEGSIM_CHECKPOINT",  "MEGSIM_TRACE",
-        "MEGSIM_TIMELINE",  "MEGSIM_ATTRIB",
+        "MEGSIM_CACHE_DIR", "MEGSIM_TRACE",       "MEGSIM_TIMELINE",
+        "MEGSIM_ATTRIB",
         "MEGSIM_SCHED_POLICY",     "MEGSIM_SCHED_MAX_INFLIGHT",
         "MEGSIM_SHARD_REPLY_SPILL", "MEGSIM_SHARD_SPILL_DIR",
         "MEGSIM_SUITE_CLUSTER",
